@@ -9,6 +9,14 @@ routing plane the way it would against a real update interval.
 
 Everything is single-threaded per instance; two simulations never share
 state.
+
+AS paths are validated once, where they enter: ``Route(...)`` rejects an
+empty path, a loop or a bad ASN.  The plane's own copies skip that check
+because they are loop-free by construction: ``process_update`` drops any
+path holding the receiver's ASN, and an advertisement only prepends the
+sender's ASN, which its ``RouterId`` has already checked.  After a route
+is installed in a table its fields stay fixed; ``is_best`` is the only
+one that changes.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import heapq
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .types import Prefix, RouterId, check_asn
@@ -36,7 +44,7 @@ class SimulationError(Exception):
     """Raised for contract violations against the simulation API."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Route:
     """One entry of a router's BGP table.
 
@@ -82,7 +90,7 @@ class Route:
                 and self.is_valid == other.is_valid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateMessage:
     """An announce or withdraw in flight between two peers."""
 
@@ -97,6 +105,30 @@ class UpdateMessage:
             raise ValueError(f"unknown update kind: {self.kind}")
         if self.kind == ANNOUNCE and self.route is None:
             raise ValueError("announce requires a route")
+
+
+_new_route = object.__new__
+
+
+def _unchecked_route(prefix: Prefix, next_hop: RouterId, as_path: tuple[int, ...],
+                     local_pref: int, med: int, weight: int, metric: int,
+                     is_valid: bool) -> Route:
+    """A Route built without the path checks, for the plane's own copies.
+
+    Callers pass a loop-free path of checked ASNs; the module docstring
+    says why each caller's path is one.
+    """
+    route = _new_route(Route)
+    route.prefix = prefix
+    route.next_hop = next_hop
+    route.as_path = as_path
+    route.local_pref = local_pref
+    route.med = med
+    route.weight = weight
+    route.metric = metric
+    route.is_valid = is_valid
+    route.is_best = False
+    return route
 
 
 @dataclass(frozen=True)
@@ -133,10 +165,12 @@ def preference_key(route: Route):
 
     Highest weight, then highest local_pref, then shortest AS path,
     then lowest MED, then lowest next-hop router id; the AS path itself
-    makes the order total over distinct route values.
+    makes the order total over distinct route values.  The router id is
+    compared as its ``(asn, index)`` ints, the same order as ``RouterId``'s.
     """
-    return (-route.weight, -route.local_pref, len(route.as_path),
-            route.med, route.next_hop, route.as_path)
+    next_hop = route.next_hop
+    return (-route.weight, -route.local_pref, len(route.as_path), route.med,
+            next_hop.asn, next_hop.index, route.as_path)
 
 
 def select_best(candidates: list[Route]) -> Optional[Route]:
@@ -169,12 +203,17 @@ class Router:
         # per-neighbor local_pref override applied on import
         self.local_pref_in: dict[RouterId, int] = {}
         self._scheduled_boundary: Optional[float] = None
+        # False once any route with is_valid=False has been installed
+        self.all_valid = True
 
     def blocks(self, sender: RouterId, origin: int) -> bool:
         return (sender, origin) in self.filters
 
     def candidates(self, prefix: Prefix) -> list[Route]:
-        return [r for r in self.rib.get(prefix, {}).values() if r.is_valid]
+        table = self.rib.get(prefix, {})
+        if self.all_valid:
+            return list(table.values())
+        return [r for r in table.values() if r.is_valid]
 
     def reselect(self, prefix: Prefix) -> Optional[tuple[Optional[Route], Optional[Route]]]:
         """Re-run selection for one prefix; returns (old, new) on change."""
@@ -186,7 +225,7 @@ class Router:
                 self.rib.pop(prefix, None)
         else:
             self.best[prefix] = new
-        if (new is None and old is None) or (new is not None and new.same_value(old)):
+        if new is old or (new is not None and new.same_value(old)):
             return None
         return (old, new)
 
@@ -311,9 +350,12 @@ class Simulation:
         if router.blocks(msg.sender, route.origin):
             log.debug("%s drops %s from %s: inbound filter", rid, msg.prefix, msg.sender)
             return ("dropped-filter", None)
-        stored = replace(route, is_best=False)
-        if msg.sender in router.local_pref_in:
-            stored.local_pref = router.local_pref_in[msg.sender]
+        if not route.is_valid:
+            router.all_valid = False
+        stored = _unchecked_route(
+            route.prefix, route.next_hop, route.as_path,
+            router.local_pref_in.get(msg.sender, route.local_pref),
+            route.med, route.weight, route.metric, route.is_valid)
         router.rib.setdefault(msg.prefix, {})[msg.sender] = stored
         return ("installed", self._after_table_change(router, msg.prefix))
 
@@ -370,22 +412,19 @@ class Simulation:
     def _flush(self, router: Router):
         router._scheduled_boundary = None
         pending, router.pending = sorted(router.pending), set()
+        neighbors = sorted(router.neighbors.items())
         for prefix in pending:
             best = router.best.get(prefix)
-            for neighbor in sorted(router.neighbors):
-                delay = router.neighbors[neighbor]
-                if best is not None:
-                    msg_route = Route(
-                        prefix=prefix,
-                        next_hop=router.rid,
-                        as_path=router.advertised_path(best),
-                        med=best.med,
-                        metric=best.metric,
-                        weight=0,
-                    )
-                    self._send(router.rid, neighbor, ANNOUNCE, prefix, msg_route, delay)
-                else:
-                    self._send(router.rid, neighbor, WITHDRAW, prefix, None, delay)
+            if best is None:
+                kind, advert = WITHDRAW, None
+            else:
+                # one advert for every neighbor: each receiver stores a copy
+                kind = ANNOUNCE
+                advert = _unchecked_route(
+                    prefix, router.rid, router.advertised_path(best),
+                    DEFAULT_LOCAL_PREF, best.med, 0, best.metric, True)
+            for neighbor, delay in neighbors:
+                self._send(router.rid, neighbor, kind, prefix, advert, delay)
 
     def _send(self, sender: RouterId, receiver: RouterId, kind: str,
               prefix: Prefix, route: Optional[Route], delay: float):

@@ -61,27 +61,31 @@ def _rid(i: int) -> RouterId:
     return RouterId(ASN_BASE + i, i)
 
 
-def _tree_links(n: int, delay: float) -> list[tuple[RouterId, RouterId, float]]:
-    return [(_rid((i - 1) // 2), _rid(i), delay) for i in range(1, n)]
+def _tree_links(rids: list[RouterId],
+                delay: float) -> list[tuple[RouterId, RouterId, float]]:
+    return [(rids[(i - 1) // 2], rids[i], delay) for i in range(1, len(rids))]
 
 
-def _level_peer_links(n: int, delay: float) -> list[tuple[RouterId, RouterId, float]]:
+def _level_peer_links(rids: list[RouterId],
+                      delay: float) -> list[tuple[RouterId, RouterId, float]]:
     """Peer every pair of same-depth nodes (the multi-path variant)."""
-    by_depth: dict[int, list[int]] = {}
-    for i in range(n):
-        by_depth.setdefault(node_depth(i), []).append(i)
+    by_depth: dict[int, list[RouterId]] = {}
+    for i, rid in enumerate(rids):
+        by_depth.setdefault(node_depth(i), []).append(rid)
     links = []
     for level in sorted(by_depth):
         nodes = by_depth[level]
         for x in range(len(nodes)):
             for y in range(x + 1, len(nodes)):
-                links.append((_rid(nodes[x]), _rid(nodes[y]), delay))
+                links.append((nodes[x], nodes[y], delay))
     return links
 
 
-def _tree_placement(n: int, attacks: int) -> tuple[list[RouterId], list[RouterId]]:
+def _tree_placement(rids: list[RouterId],
+                    attacks: int) -> tuple[list[RouterId], list[RouterId]]:
     """Victims: deepest leaves under child 1; adversaries: one level
     shallower under child 2 (never on a victim's path to the root)."""
+    n = len(rids)
     depth_max = node_depth(n - 1)
     if depth_max < 2:
         raise TopologyError(f"tree of {n} routers is too shallow to place attacks")
@@ -93,20 +97,21 @@ def _tree_placement(n: int, attacks: int) -> tuple[list[RouterId], list[RouterId
         raise TopologyError(f"no victim/adversary slots in a tree of {n} routers")
     victims = [victims[k % len(victims)] for k in range(attacks)]
     adversaries = [adversaries[k % len(adversaries)] for k in range(attacks)]
-    return [_rid(i) for i in victims], [_rid(i) for i in adversaries]
+    return [rids[i] for i in victims], [rids[i] for i in adversaries]
 
 
 def tree_topology(kind: str, n: int, attacks: int, delay: float) -> ScenarioTopology:
     if n < 3:
         raise TopologyError(f"need at least 3 routers, got {n}")
-    links = _tree_links(n, delay)
+    rids = [_rid(i) for i in range(n)]
+    links = _tree_links(rids, delay)
     if kind == MULTI_PATH:
-        links = links + _level_peer_links(n, delay)
-    victims, adversaries = _tree_placement(n, attacks)
+        links = links + _level_peer_links(rids, delay)
+    victims, adversaries = _tree_placement(rids, attacks)
     return ScenarioTopology(kind=kind,
-                            routers=[_rid(i) for i in range(n)],
+                            routers=rids,
                             links=links,
-                            dispatcher=_rid(0),
+                            dispatcher=rids[0],
                             victims=victims,
                             adversaries=adversaries)
 
@@ -149,13 +154,14 @@ def random_topology(n: int, connectivity: float, attacks: int, seed: int,
             remaining = [i for i in others if i not in victims]
             adversaries = placement.sample(remaining, min(attacks, len(remaining)))
             adversaries = [adversaries[k % len(adversaries)] for k in range(attacks)]
+            rids = [_rid(i) for i in range(n)]
             return ScenarioTopology(
                 kind=RANDOM,
-                routers=[_rid(i) for i in range(n)],
-                links=[(_rid(a), _rid(b), delay) for a, b in sorted(edges)],
-                dispatcher=_rid(dispatcher),
-                victims=[_rid(i) for i in victims],
-                adversaries=[_rid(i) for i in adversaries],
+                routers=rids,
+                links=[(rids[a], rids[b], delay) for a, b in sorted(edges)],
+                dispatcher=rids[dispatcher],
+                victims=[rids[i] for i in victims],
+                adversaries=[rids[i] for i in adversaries],
                 regenerations=attempt)
     raise TopologyError(
         f"could not draw a connected graph (n={n}, connectivity={connectivity})")

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blockjack.bgp import (
     ANNOUNCE,
@@ -18,7 +20,7 @@ from blockjack.bgp import (
     select_best,
     snapshot_json,
 )
-from blockjack.types import Prefix, RouterId
+from blockjack.types import MAX_ASN, Prefix, RouterId
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("172.16.0.0/20")
@@ -133,6 +135,26 @@ def test_select_best_matches_brute_force_oracle():
         assert sum(r.is_best for r in routes) == 1
 
 
+# Next hops from a few ASNs with several indexes each, so that one hop can
+# have the lower ASN and the higher index, e.g. RouterId(10, 5) against
+# RouterId(11, 0).
+next_hops = st.builds(RouterId, st.integers(10, 12), st.integers(0, 6))
+
+
+@given(st.data())
+def test_select_best_matches_oracle_when_path_lengths_tie(data):
+    hops = data.draw(st.lists(next_hops, min_size=1, max_size=8, unique=True))
+    path_len = data.draw(st.integers(1, 4))
+    routes = [Route(prefix=P1, next_hop=hop,
+                    as_path=tuple(data.draw(st.lists(
+                        st.integers(500, 510), min_size=path_len,
+                        max_size=path_len, unique=True))),
+                    med=data.draw(st.integers(0, 1)))
+              for hop in hops]
+    shuffled = data.draw(st.permutations(routes))
+    assert select_best(list(shuffled)) is brute_force_best(routes)
+
+
 def test_select_best_permutation_invariant_and_idempotent():
     rng = random.Random(7)
     routes = random_candidates(rng, max_size=6)
@@ -141,6 +163,13 @@ def test_select_best_permutation_invariant_and_idempotent():
         rng.shuffle(routes)
         assert select_best(routes) is first
     assert select_best(routes) is first  # idempotent
+
+
+@pytest.mark.parametrize("path", [(), (20, 30, 20), (20, 0), (20, MAX_ASN + 1)],
+                         ids=["empty", "loop", "asn-zero", "asn-too-large"])
+def test_route_constructor_rejects_bad_paths(path):
+    with pytest.raises(ValueError):
+        Route(prefix=P1, next_hop=B, as_path=path)
 
 
 # -- clock / MARI batching ----------------------------------------------
@@ -289,6 +318,23 @@ def test_shorter_path_replaces_best():
     sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
                                         delivery_time=0.0, route=short_route))
     assert best_row(sim, A, P1)["as_path"] == (20, 40)
+
+
+def test_invalid_route_is_listed_but_never_selected():
+    sim = triangle()
+    # shorter than the valid route below, so it would win if it were valid
+    invalid = Route(prefix=P1, next_hop=B, as_path=(20, 40), is_valid=False)
+    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
+                                        delivery_time=0.0, route=invalid))
+    assert best_row(sim, A, P1) is None
+    [row] = json.loads(snapshot_json(sim, A))
+    assert row["is_valid"] is False and row["is_best"] is False
+    valid = Route(prefix=P1, next_hop=C, as_path=(30, 50, 40))
+    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=C, prefix=P1,
+                                        delivery_time=0.0, route=valid))
+    assert best_row(sim, A, P1)["next_hop"] == C
+    rows = {r["next_hop"]: r for r in sim.snapshot_table(A)}
+    assert not rows[B]["is_valid"] and not rows[B]["is_best"]
 
 
 # -- inbound filters -----------------------------------------------------
