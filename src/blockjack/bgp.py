@@ -16,7 +16,8 @@ because they are loop-free by construction: ``process_update`` drops any
 path holding the receiver's ASN, and an advertisement only prepends the
 sender's ASN, which its ``RouterId`` has already checked.  After a route
 is installed in a table its fields stay fixed; ``is_best`` is the only
-one that changes.
+one that changes.  A caller that edits a ``Route`` after constructing it
+bypasses the checks, and ``process_update`` stores what it is given.
 """
 
 from __future__ import annotations
@@ -203,17 +204,12 @@ class Router:
         # per-neighbor local_pref override applied on import
         self.local_pref_in: dict[RouterId, int] = {}
         self._scheduled_boundary: Optional[float] = None
-        # False once any route with is_valid=False has been installed
-        self.all_valid = True
 
     def blocks(self, sender: RouterId, origin: int) -> bool:
         return (sender, origin) in self.filters
 
     def candidates(self, prefix: Prefix) -> list[Route]:
-        table = self.rib.get(prefix, {})
-        if self.all_valid:
-            return list(table.values())
-        return [r for r in table.values() if r.is_valid]
+        return [r for r in self.rib.get(prefix, {}).values() if r.is_valid]
 
     def reselect(self, prefix: Prefix) -> Optional[tuple[Optional[Route], Optional[Route]]]:
         """Re-run selection for one prefix; returns (old, new) on change."""
@@ -350,8 +346,6 @@ class Simulation:
         if router.blocks(msg.sender, route.origin):
             log.debug("%s drops %s from %s: inbound filter", rid, msg.prefix, msg.sender)
             return ("dropped-filter", None)
-        if not route.is_valid:
-            router.all_valid = False
         stored = _unchecked_route(
             route.prefix, route.next_hop, route.as_path,
             router.local_pref_in.get(msg.sender, route.local_pref),

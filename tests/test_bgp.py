@@ -1,9 +1,8 @@
+import dataclasses
 import json
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from blockjack.bgp import (
     ANNOUNCE,
@@ -14,6 +13,7 @@ from blockjack.bgp import (
     Simulation,
     SimulationError,
     UpdateMessage,
+    _unchecked_route,
     apply_event_script,
     dump_topology,
     load_topology,
@@ -111,11 +111,18 @@ def brute_force_best(candidates):
 def random_candidates(rng, max_size=8):
     n = rng.randint(1, max_size)
     routes = []
-    hops = rng.sample(range(100, 100 + 50), n)  # distinct next hops
-    for hop in hops:
-        path_len = rng.randint(1, 5)
+    # distinct next hops from a few ASNs with several indexes each, so one
+    # hop can have the lower ASN and the higher index, e.g. (100, 5)
+    # against (101, 0)
+    hops = rng.sample([(asn, index) for asn in range(100, 103)
+                       for index in range(7)], n)
+    # half the time every path has the same length, so that more ties
+    # reach the MED and next-hop comparisons
+    tied_len = rng.choice([None, rng.randint(1, 5)])
+    for asn, index in hops:
+        path_len = tied_len or rng.randint(1, 5)
         path = tuple(rng.sample(range(500, 900), path_len))
-        routes.append(Route(prefix=P1, next_hop=RouterId(hop),
+        routes.append(Route(prefix=P1, next_hop=RouterId(asn, index),
                             as_path=path,
                             local_pref=rng.choice([50, 100, 100, 200]),
                             med=rng.randint(0, 3),
@@ -135,26 +142,6 @@ def test_select_best_matches_brute_force_oracle():
         assert sum(r.is_best for r in routes) == 1
 
 
-# Next hops from a few ASNs with several indexes each, so that one hop can
-# have the lower ASN and the higher index, e.g. RouterId(10, 5) against
-# RouterId(11, 0).
-next_hops = st.builds(RouterId, st.integers(10, 12), st.integers(0, 6))
-
-
-@given(st.data())
-def test_select_best_matches_oracle_when_path_lengths_tie(data):
-    hops = data.draw(st.lists(next_hops, min_size=1, max_size=8, unique=True))
-    path_len = data.draw(st.integers(1, 4))
-    routes = [Route(prefix=P1, next_hop=hop,
-                    as_path=tuple(data.draw(st.lists(
-                        st.integers(500, 510), min_size=path_len,
-                        max_size=path_len, unique=True))),
-                    med=data.draw(st.integers(0, 1)))
-              for hop in hops]
-    shuffled = data.draw(st.permutations(routes))
-    assert select_best(list(shuffled)) is brute_force_best(routes)
-
-
 def test_select_best_permutation_invariant_and_idempotent():
     rng = random.Random(7)
     routes = random_candidates(rng, max_size=6)
@@ -170,6 +157,17 @@ def test_select_best_permutation_invariant_and_idempotent():
 def test_route_constructor_rejects_bad_paths(path):
     with pytest.raises(ValueError):
         Route(prefix=P1, next_hop=B, as_path=path)
+
+
+def test_unchecked_route_sets_every_field_like_route():
+    # _unchecked_route sets Route's slots by hand; a field it misses would
+    # stay unset and raise AttributeError on first read
+    args = dict(prefix=P1, next_hop=B, as_path=(20, 40), local_pref=150,
+                med=3, weight=7, metric=9, is_valid=False)
+    fast = _unchecked_route(**args)
+    checked = Route(**args)
+    for field in dataclasses.fields(Route):
+        assert getattr(fast, field.name) == getattr(checked, field.name), field.name
 
 
 # -- clock / MARI batching ----------------------------------------------
