@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .harness import (
     ScenarioConfig,
@@ -13,7 +14,7 @@ from .harness import (
     write_metrics,
     write_summary,
 )
-from .ledger import CALIBRATED_COST, CostModel
+from .ledger import CALIBRATED_COST
 from .topology import TopologyError
 
 SCENARIO_NAMES = {"single": "single_path", "multi": "multi_path",
@@ -57,10 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    model = CALIBRATED_COST
-    if args.members != model.member_count:
-        model = CostModel(model.request_latency, model.endorse_latency,
-                          model.distribute_latency, args.members)
+    if args.members < 1:
+        raise ScenarioError(f"need at least 1 consortium member, got {args.members}")
+    model = replace(CALIBRATED_COST, member_count=args.members)
     cfg = ScenarioConfig(
         kind=SCENARIO_NAMES[args.scenario],
         routers=args.routers,

@@ -43,16 +43,8 @@ class OriginEntry:
 
 
 @dataclass
-class RoaCache:
-    """Triples of own-AS prefixes seen at the last successful scan."""
-
-    entries: set[OriginEntry] = field(default_factory=set)
-    last_scan: float = -1.0
-
-
-@dataclass
-class RovCache:
-    """Triples of neighbor-announced prefixes seen at the last scan."""
+class OriginCache:
+    """Triples seen at the last scan: own-AS (ROA) or neighbor-announced (ROV)."""
 
     entries: set[OriginEntry] = field(default_factory=set)
     last_scan: float = -1.0
@@ -117,8 +109,8 @@ class Dispatcher:
         self.config = config
         self.home = config.home_router
         self.own_asn = config.home_router.asn
-        self.roa_cache = RoaCache()
-        self.rov_cache = RovCache()
+        self.roa_cache = OriginCache()
+        self.rov_cache = OriginCache()
         self.registered: set[Prefix] = set()   # prefixes this agent ever added
         self.reports: list[DispatcherReport] = []
         self.total_verifies = 0

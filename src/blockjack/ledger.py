@@ -136,13 +136,15 @@ class WorldState:
         return self.records.get(prefix)
 
     def apply(self, tx: Transaction):
+        """Commit one endorsed transaction; a commit and a replay share this."""
+        prefix = tx.record.prefix
         if tx.kind == KIND_REGISTER:
-            self.records[tx.record.prefix] = replace(tx.record, active=True)
-        elif tx.kind == KIND_UPDATE_STATUS:
-            current = self.records[tx.record.prefix]
-            self.records[tx.record.prefix] = replace(current, active=tx.record.active)
+            self.records[prefix] = replace(tx.record, active=True)
+        elif tx.kind == KIND_UPDATE_STATUS and prefix in self.records:
+            self.records[prefix] = replace(self.records[prefix], active=tx.record.active)
         else:
-            raise LedgerError(f"unknown transaction kind: {tx.kind}")
+            raise LedgerError(f"cannot apply {tx.kind!r} to {prefix!r}")
+        self.version += 1
 
     def to_dict(self) -> dict:
         return {prefix: self.records[prefix].to_dict()
@@ -278,14 +280,14 @@ class VerifyResult:
 
 
 class ConsortiumMember:
-    """One consortium peer holding its own world-state replica."""
+    """One consortium peer; endorses against its ledger's one world state."""
 
-    def __init__(self, member_id: str):
+    def __init__(self, member_id: str, ledger: "ConsortiumLedger"):
         self.member_id = member_id
-        self.state = WorldState()
+        self.ledger = ledger
 
     def endorse(self, tx: Transaction) -> bool:
-        return chaincode_evaluate(tx, self.state).approved
+        return chaincode_evaluate(tx, self.ledger.world_state).approved
 
 
 class ConsortiumLedger:
@@ -299,7 +301,7 @@ class ConsortiumLedger:
                  ca: Optional[CertificateAuthority] = None):
         self.cost_model = cost_model
         self.ca = ca or CertificateAuthority()
-        self.members = [ConsortiumMember(f"member-{i}")
+        self.members = [ConsortiumMember(f"member-{i}", self)
                         for i in range(cost_model.member_count)]
         self.world_state = WorldState()
         genesis = Block(index=0, prev_hash=GENESIS_PREV_HASH, transactions=[])
@@ -356,10 +358,6 @@ class ConsortiumLedger:
                       transactions=[tx]).seal()
         self.blocks.append(block)
         self.world_state.apply(tx)
-        self.world_state.version += 1
-        for member in self.members:  # distribute the new world state
-            member.state.apply(tx)
-            member.state.version = self.world_state.version
         self.stats["commits"] += 1
         return CommitResult(block_index=block.index,
                             completed_at=now + model.authorization_cost())
@@ -417,7 +415,11 @@ class ConsortiumLedger:
     @classmethod
     def load(cls, doc: dict, cost_model: CostModel = CALIBRATED_COST,
              ca: Optional[CertificateAuthority] = None) -> "ConsortiumLedger":
-        """Rebuild a ledger from a dump; refuses a broken chain."""
+        """Rebuild a ledger by replaying a dump's blocks; refuses a broken
+        chain, or a member count or world state that disagrees with them."""
+        if doc["member_count"] != cost_model.member_count:
+            raise LedgerError(f"dump has {doc['member_count']} members, "
+                              f"cost model has {cost_model.member_count}")
         ledger = cls(cost_model=cost_model, ca=ca)
         ledger.blocks = []
         for raw in doc["blocks"]:
@@ -433,9 +435,10 @@ class ConsortiumLedger:
         broken = ledger.verify_chain()
         if broken is not None:
             raise LedgerError(f"refusing to load broken chain at block {broken}")
-        state = WorldState({p: LedgerRecord(**r) for p, r in doc["world_state"].items()},
-                           version=doc["version"])
-        ledger.world_state = state
-        for member in ledger.members:
-            member.state = WorldState(dict(state.records), version=state.version)
+        state = ledger.world_state
+        for block in ledger.blocks:
+            for tx in block.transactions:
+                state.apply(tx)
+        if state.version != doc["version"] or state.to_dict() != doc["world_state"]:
+            raise LedgerError("dump's world state disagrees with its blocks")
         return ledger

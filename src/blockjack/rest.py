@@ -32,7 +32,16 @@ from .profiler import (
 )
 from .types import RouterId
 
+# Largest request body the server reads; a gateway request is ~100 bytes.
+MAX_BODY_BYTES = 64 * 1024
+
+
+class PayloadTooLarge(Exception):
+    """Content-Length above MAX_BODY_BYTES; the body is left unread."""
+
+
 _STATUS_BY_ERROR = {
+    PayloadTooLarge: 413,
     AuthenticationError: 401,
     CredentialError: 401,
     KeyError: 400,
@@ -84,7 +93,13 @@ class GatewayHTTPServer:
                                              "message": str(exc)}})
 
             def _body(self) -> dict:
-                length = int(self.headers.get("Content-Length", 0))
+                text = self.headers.get("Content-Length", "0")
+                if not (text.isascii() and text.isdigit()):
+                    raise ValueError(f"bad Content-Length: {text!r}")
+                length = int(text)
+                if length > MAX_BODY_BYTES:
+                    raise PayloadTooLarge(f"body of {length} bytes exceeds "
+                                          f"{MAX_BODY_BYTES}")
                 raw = self.rfile.read(length) if length else b"{}"
                 return json.loads(raw.decode("utf-8"))
 

@@ -71,10 +71,12 @@ def test_cli_exit_one_when_attack_outlives_run(tmp_path):
     assert any(",false" in row and row.split(",")[7] == "" for row in rows)
 
 
-def test_cli_rejects_bad_config(tmp_path):
-    code = main(["run", "--scenario", "single", "--routers", "2",
-                 "--out", str(tmp_path / "x.csv"), "--quiet"])
-    assert code == 2
+def test_cli_rejects_bad_config(tmp_path, capsys):
+    for bad in (["--routers", "2"], ["--members", "0"], ["--members", "-3"]):
+        code = main(["run", "--scenario", "single", "--routers", "20", *bad,
+                     "--out", str(tmp_path / "x.csv"), "--quiet"])
+        assert code == 2, bad
+        assert capsys.readouterr().err.startswith("error: "), bad
 
 
 def test_cli_requires_out(tmp_path):

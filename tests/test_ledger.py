@@ -7,6 +7,7 @@ import pytest
 
 from blockjack.ledger import (
     CALIBRATED_COST,
+    Block,
     CommitResult,
     ConsortiumLedger,
     CostModel,
@@ -369,3 +370,65 @@ def test_load_refuses_broken_chain():
     doc["blocks"][1]["transactions"][0]["record"]["asn"] = 99
     with pytest.raises(LedgerError):
         ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+
+
+# Single edits of a valid dump's world state; the blocks stay intact.
+FORGERIES = {
+    "asn": lambda doc: doc["world_state"]["10.0.0.0/24"].update(asn=99),
+    "active": lambda doc: doc["world_state"]["10.0.0.0/24"].update(active=False),
+    "extra key": lambda doc: doc["world_state"].update(
+        {"192.0.2.0/24": LedgerRecord("192.0.2.0/24", 99).to_dict()}),
+    "missing key": lambda doc: doc["world_state"].pop("10.1.0.0/24"),
+    "version": lambda doc: doc.update(version=doc["version"] + 1),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
+def test_load_refuses_world_state_that_disagrees_with_blocks(forgery):
+    ledger, _, r10, r99 = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    ledger.submit_authorization("10.1.0.0/24", 99, r99)
+    doc = ledger.dump()
+    FORGERIES[forgery](doc)
+    with pytest.raises(LedgerError):
+        ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+
+
+def test_load_refuses_rehashed_chain_that_does_not_replay():
+    """Hashes are unkeyed, so a rebuilt chain verifies; its replay must not."""
+    ledger = ConsortiumLedger(cost_model=UNIT_COST)
+    orphan = tx("update_status", "10.0.0.0/24", 10, active=False)
+    ledger.blocks.append(Block(index=1, prev_hash=ledger.blocks[0].hash,
+                               transactions=[orphan]).seal())
+    doc = ledger.dump()
+    assert ledger.verify_chain() is None
+    with pytest.raises(LedgerError):
+        ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+
+
+def test_load_refuses_member_count_mismatch():
+    ledger, _, r10, _ = make_ledger(CostModel(1.0, 1.0, 1.0, 7))
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    doc = ledger.dump()
+    with pytest.raises(LedgerError):
+        ConsortiumLedger.load(doc)  # the calibrated model has 2 members
+    loaded = ConsortiumLedger.load(doc, cost_model=CostModel(1.0, 1.0, 1.0, 7))
+    assert loaded.to_json() == ledger.to_json()
+
+
+def assert_members_read_live_state(ledger):
+    """Every member denies a cross-AS grab of a taken prefix, approves a free one."""
+    taken = tx("register", "10.0.0.0/24", 99)
+    free = tx("register", "203.0.113.0/24", 99)
+    for member in ledger.members:
+        assert not member.endorse(taken), member.member_id
+        assert member.endorse(free), member.member_id
+
+
+def test_members_endorse_against_current_world_state():
+    ledger, _, r10, _ = make_ledger()
+    assert all(m.endorse(tx("register", "10.0.0.0/24", 99)) for m in ledger.members)
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    assert_members_read_live_state(ledger)
+    loaded = ConsortiumLedger.load(ledger.dump(), cost_model=UNIT_COST)
+    assert_members_read_live_state(loaded)

@@ -1,3 +1,4 @@
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -6,7 +7,7 @@ import pytest
 
 from blockjack.ledger import ConsortiumLedger, CostModel
 from blockjack.profiler import Profiler
-from blockjack.rest import GatewayHTTPServer
+from blockjack.rest import MAX_BODY_BYTES, GatewayHTTPServer
 
 
 @pytest.fixture()
@@ -126,3 +127,31 @@ def test_http_and_inprocess_bindings_agree(server):
     _, via_http = call(server, "GET",
                        "/prefix?prefix=10.0.0.0/24&asn=99&router_id=99.0")
     assert via_http["signal"] == direct.signal.value == "invalid"
+
+
+def raw_post(server, content_length):
+    """POST /admin/enroll claiming `content_length`, sending no body."""
+    host, port = server._server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        conn.putrequest("POST", "/admin/enroll")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read().decode())
+    finally:
+        conn.close()
+
+
+def test_http_refuses_oversized_body_unread(server):
+    # the body is never sent: a server that tried to read it would time out
+    status, body = raw_post(server, str(MAX_BODY_BYTES + 1))
+    assert status == 413 and body["error"]["class"] == "PayloadTooLarge"
+    status, _ = raw_post(server, str(10 ** 12))
+    assert status == 413
+
+
+def test_http_rejects_malformed_content_length(server):
+    for length in ["-1", "abc", "1.5", "+3", ""]:
+        status, body = raw_post(server, length)
+        assert status == 400 and "class" in body["error"], length
