@@ -166,12 +166,10 @@ def preference_key(route: Route):
 
     Highest weight, then highest local_pref, then shortest AS path,
     then lowest MED, then lowest next-hop router id; the AS path itself
-    makes the order total over distinct route values.  The router id is
-    compared as its ``(asn, index)`` ints, the same order as ``RouterId``'s.
+    makes the order total over distinct route values.
     """
-    next_hop = route.next_hop
     return (-route.weight, -route.local_pref, len(route.as_path), route.med,
-            next_hop.asn, next_hop.index, route.as_path)
+            route.next_hop, route.as_path)
 
 
 def select_best(candidates: list[Route]) -> Optional[Route]:
@@ -179,10 +177,15 @@ def select_best(candidates: list[Route]) -> Optional[Route]:
 
     Flags exactly the winner as best. Pure in the candidate multiset:
     permutation-invariant and idempotent. Returns None for no candidates.
+    Ranks as ``min(candidates, key=preference_key)`` does, with the key
+    built inline and the list index appended: among equal keys the first
+    candidate wins, and two ``Route`` objects are never compared.
     """
     if not candidates:
         return None
-    winner = min(candidates, key=preference_key)
+    winner = candidates[min([(-r.weight, -r.local_pref, len(r.as_path), r.med,
+                              r.next_hop, r.as_path, i)
+                             for i, r in enumerate(candidates)])[-1]]
     for route in candidates:
         route.is_best = route is winner
     return winner
@@ -357,9 +360,10 @@ class Simulation:
         """Stable-ordered, read-only copy of a router's table rows."""
         router = self._router(rid)
         rows = []
-        for prefix in sorted(router.rib):
-            for next_hop in sorted(router.rib[prefix]):
-                route = router.rib[prefix][next_hop]
+        for _, table in sorted(router.rib.items()):
+            routes = (table.values() if len(table) == 1
+                      else [table[next_hop] for next_hop in sorted(table)])
+            for route in routes:
                 rows.append({
                     "prefix": route.prefix,
                     "next_hop": route.next_hop,

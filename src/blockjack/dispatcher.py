@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bgp import FilterRule, Simulation
 from .profiler import (
@@ -33,8 +33,7 @@ ACCEPT = "accept"
 FILTER = "filter"
 
 
-@dataclass(frozen=True, order=True)
-class OriginEntry:
+class OriginEntry(NamedTuple):
     """One valid-best table row reduced to what the ledger cares about."""
 
     prefix: Prefix
@@ -94,8 +93,7 @@ def scan(snapshot: list[dict], own_asn: int) -> tuple[set[OriginEntry], set[Orig
             continue
         path = row["as_path"]
         origin = path[-1] if path else own_asn
-        entry = OriginEntry(prefix=row["prefix"], origin=origin,
-                            next_hop=row["next_hop"])
+        entry = OriginEntry(row["prefix"], origin, row["next_hop"])
         (roa_var if origin == own_asn else rov_var).add(entry)
     return roa_var, rov_var
 

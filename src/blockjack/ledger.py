@@ -415,30 +415,85 @@ class ConsortiumLedger:
     @classmethod
     def load(cls, doc: dict, cost_model: CostModel = CALIBRATED_COST,
              ca: Optional[CertificateAuthority] = None) -> "ConsortiumLedger":
-        """Rebuild a ledger by replaying a dump's blocks; refuses a broken
-        chain, or a member count or world state that disagrees with them."""
-        if doc["member_count"] != cost_model.member_count:
-            raise LedgerError(f"dump has {doc['member_count']} members, "
+        """Rebuild a ledger by replaying a dump's blocks.
+
+        Raises LedgerError for a dump of the wrong shape, a broken chain,
+        a transaction that the chaincode denies against the state replayed
+        before it or that lacks ``endorsements_required`` distinct member
+        endorsements, and a member count or world state that disagrees
+        with the blocks.
+        """
+        member_count, version, world_state, raw_blocks = _fields(doc, _DUMP_FIELDS,
+                                                                  "the dump")
+        if not raw_blocks:
+            raise LedgerError("malformed dump: no genesis block")
+        if member_count != cost_model.member_count:
+            raise LedgerError(f"dump has {member_count} members, "
                               f"cost model has {cost_model.member_count}")
         ledger = cls(cost_model=cost_model, ca=ca)
-        ledger.blocks = []
-        for raw in doc["blocks"]:
-            txs = [Transaction(kind=t["kind"],
-                               record=LedgerRecord(**t["record"]),
-                               submitter=t["submitter"],
-                               submitter_asn=t["submitter_asn"],
-                               endorsements=tuple(t["endorsements"]),
-                               submitted_at=t["submitted_at"])
-                   for t in raw["transactions"]]
-            ledger.blocks.append(Block(index=raw["index"], prev_hash=raw["prev_hash"],
-                                       transactions=txs, hash=raw["hash"]))
+        ledger.blocks = [_load_block(raw, i) for i, raw in enumerate(raw_blocks)]
         broken = ledger.verify_chain()
         if broken is not None:
             raise LedgerError(f"refusing to load broken chain at block {broken}")
         state = ledger.world_state
+        members = {member.member_id for member in ledger.members}
+        required = cost_model.endorsements_required
         for block in ledger.blocks:
             for tx in block.transactions:
+                verdict = chaincode_evaluate(tx, state)
+                if not verdict.approved:
+                    raise LedgerError(f"block {block.index}: the chaincode denies "
+                                      f"{tx.kind} of {tx.record.prefix!r} "
+                                      f"({verdict.reason})")
+                if len(members.intersection(tx.endorsements)) < required:
+                    raise LedgerError(f"block {block.index}: fewer than {required} "
+                                      f"member endorsements")
                 state.apply(tx)
-        if state.version != doc["version"] or state.to_dict() != doc["world_state"]:
+        if state.version != version or state.to_dict() != world_state:
             raise LedgerError("dump's world state disagrees with its blocks")
         return ledger
+
+
+# A dump's fields with their types as ``json.loads`` gives them, each dict
+# in the order of the constructor its values are passed to.
+_DUMP_FIELDS = {"member_count": (int,), "version": (int,), "world_state": (dict,),
+                "blocks": (list,)}
+_BLOCK_FIELDS = {"index": (int,), "prev_hash": (str,), "transactions": (list,),
+                 "hash": (str,)}
+_TX_FIELDS = {"kind": (str,), "record": (dict,), "submitter": (str,),
+              "submitter_asn": (int, type(None)), "endorsements": (list,),
+              "submitted_at": (float, int)}
+_RECORD_FIELDS = {"prefix": (str,), "asn": (int,), "doc_type": (str,),
+                  "active": (bool,)}
+
+
+def _fields(obj, spec: dict, what: str) -> list:
+    """The values of spec's keys in obj; LedgerError if one is missing or mistyped."""
+    if type(obj) is not dict:
+        raise LedgerError(f"malformed dump: {what} is not an object")
+    for key, kinds in spec.items():
+        if key not in obj:
+            raise LedgerError(f"malformed dump: {what} lacks {key!r}")
+        if type(obj[key]) not in kinds:
+            raise LedgerError(f"malformed dump: {what} has a "
+                              f"{type(obj[key]).__name__} {key!r}")
+    return [obj[key] for key in spec]
+
+
+def _load_block(raw, position: int) -> Block:
+    try:
+        index, prev_hash, raw_txs, block_hash = _fields(raw, _BLOCK_FIELDS, "a block")
+        return Block(index, prev_hash, [_load_transaction(t) for t in raw_txs],
+                     block_hash)
+    except LedgerError as exc:
+        raise LedgerError(f"{exc} (block {position})") from None
+
+
+def _load_transaction(raw) -> Transaction:
+    kind, raw_record, submitter, submitter_asn, endorsements, submitted_at = \
+        _fields(raw, _TX_FIELDS, "a transaction")
+    if not all(type(member_id) is str for member_id in endorsements):
+        raise LedgerError("malformed dump: an endorsement is not a string")
+    record = LedgerRecord(*_fields(raw_record, _RECORD_FIELDS, "a record"))
+    return Transaction(kind, record, submitter, submitter_asn, tuple(endorsements),
+                       submitted_at)

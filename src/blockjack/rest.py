@@ -34,6 +34,8 @@ from .types import RouterId
 
 # Largest request body the server reads; a gateway request is ~100 bytes.
 MAX_BODY_BYTES = 64 * 1024
+# How often the serving loop checks for shutdown; stop() waits up to this long.
+POLL_INTERVAL_S = 0.05
 
 
 class PayloadTooLarge(Exception):
@@ -159,6 +161,7 @@ class GatewayHTTPServer:
 
     def start(self):
         self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": POLL_INTERVAL_S},
                                         daemon=True)
         self._thread.start()
 

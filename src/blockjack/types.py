@@ -1,9 +1,14 @@
-"""Shared identifier types: IPv4 prefixes, AS numbers, router ids."""
+"""Shared identifier types: IPv4 prefixes, AS numbers, router ids.
+
+``Prefix`` and ``RouterId`` are validated named tuples, so hashing,
+equality and ordering run in C; each compares and hashes as the plain
+tuple of its fields.
+"""
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from collections import namedtuple
 
 MAX_ASN = 4_294_967_295
 
@@ -17,25 +22,25 @@ def check_asn(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class Prefix:
+class Prefix(namedtuple("Prefix", "base length")):
     """A CIDR block, normalized so host bits below the mask are zero.
 
-    Canonical text form is ``a.b.c.d/len``.
+    Canonical text form is ``a.b.c.d/len``.  ``_make`` and ``_replace``
+    skip the checks in ``__new__``: give them only valid fields.
     """
 
-    base: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.length <= 32:
-            raise ValueError(f"prefix length out of range 0..32: {self.length}")
-        if not 0 <= self.base <= 0xFFFFFFFF:
-            raise ValueError(f"prefix base out of 32-bit range: {self.base}")
-        mask = (0xFFFFFFFF << (32 - self.length)) & 0xFFFFFFFF if self.length else 0
-        if self.base & ~mask:
-            raise ValueError(f"host bits set below /{self.length}: "
-                             f"{ipaddress.IPv4Address(self.base)}")
+    def __new__(cls, base: int, length: int) -> "Prefix":
+        if not 0 <= length <= 32:
+            raise ValueError(f"prefix length out of range 0..32: {length}")
+        if not 0 <= base <= 0xFFFFFFFF:
+            raise ValueError(f"prefix base out of 32-bit range: {base}")
+        mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
+        if base & ~mask:
+            raise ValueError(f"host bits set below /{length}: "
+                             f"{ipaddress.IPv4Address(base)}")
+        return tuple.__new__(cls, (base, length))
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -44,20 +49,24 @@ class Prefix:
         return cls(int(net.network_address), net.prefixlen)
 
     def __str__(self) -> str:
-        return f"{ipaddress.IPv4Address(self.base)}/{self.length}"
+        base, length = self
+        return f"{base >> 24}.{base >> 16 & 255}.{base >> 8 & 255}.{base & 255}/{length}"
 
 
-@dataclass(frozen=True, order=True)
-class RouterId:
-    """Globally unique router identity: owning ASN plus a local index."""
+class RouterId(namedtuple("RouterId", "asn index")):
+    """Globally unique router identity: owning ASN plus a local index.
 
-    asn: int
-    index: int = 0
+    ``_make`` and ``_replace`` skip the checks in ``__new__``: give them
+    only valid fields.
+    """
 
-    def __post_init__(self):
-        check_asn(self.asn)
-        if self.index < 0:
-            raise ValueError(f"router index must be >= 0: {self.index}")
+    __slots__ = ()
+
+    def __new__(cls, asn: int, index: int = 0) -> "RouterId":
+        check_asn(asn)
+        if index < 0:
+            raise ValueError(f"router index must be >= 0: {index}")
+        return tuple.__new__(cls, (asn, index))
 
     @classmethod
     def parse(cls, text: str) -> "RouterId":

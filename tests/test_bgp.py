@@ -17,6 +17,7 @@ from blockjack.bgp import (
     apply_event_script,
     dump_topology,
     load_topology,
+    preference_key,
     select_best,
     snapshot_json,
 )
@@ -94,6 +95,16 @@ def test_select_best_tiebreak_lowest_next_hop_and_stable():
     for trial in range(5):
         assert select_best([r2, r1]) is r1
         assert select_best([r1, r2]) is r1
+
+
+def test_select_best_equal_values_pick_first_in_list_order():
+    # same next hop and path: equal keys, so neither route ranks above the other
+    first, second, third = mk(B, [20, 40]), mk(B, [20, 40]), mk(B, [20, 40])
+    for order in ([first, second, third], [second, third, first],
+                  [third, first, second]):
+        assert min(order, key=preference_key) is order[0]
+        assert select_best(order) is order[0]
+        assert [r.is_best for r in order] == [True, False, False]
 
 
 def brute_force_best(candidates):

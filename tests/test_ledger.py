@@ -432,3 +432,93 @@ def test_members_endorse_against_current_world_state():
     assert_members_read_live_state(ledger)
     loaded = ConsortiumLedger.load(ledger.dump(), cost_model=UNIT_COST)
     assert_members_read_live_state(loaded)
+
+
+def two_commit_dump():
+    ledger, _, r10, r99 = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    ledger.submit_authorization("10.1.0.0/24", 99, r99)
+    return ledger.dump()
+
+
+# Malformed dumps: each must raise LedgerError, not KeyError or TypeError.
+MALFORMED = {
+    "empty object": lambda doc: doc.clear(),
+    "no member_count": lambda doc: doc.pop("member_count"),
+    "no version": lambda doc: doc.pop("version"),
+    "no world_state": lambda doc: doc.pop("world_state"),
+    "no blocks": lambda doc: doc.pop("blocks"),
+    "blocks is a string": lambda doc: doc.update(blocks="x"),
+    "blocks is an object": lambda doc: doc.update(blocks={"0": {}}),
+    "no genesis block": lambda doc: doc.update(blocks=[]),
+    "block is a list": lambda doc: doc["blocks"].append([]),
+    "block without transactions": lambda doc: doc["blocks"][1].pop("transactions"),
+    "transactions is a string": lambda doc: doc["blocks"][1].update(transactions="x"),
+    "transaction without record": lambda doc: doc["blocks"][1]["transactions"][0].pop(
+        "record"),
+    "record without asn": lambda doc: doc["blocks"][1]["transactions"][0]["record"].pop(
+        "asn"),
+    "asn is a string": lambda doc: doc["blocks"][1]["transactions"][0]["record"].update(
+        asn="10"),
+    "endorsement is a list": lambda doc: doc["blocks"][1]["transactions"][0].update(
+        endorsements=[["member-0"]]),
+    "member_count is a string": lambda doc: doc.update(member_count="4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_refuses_malformed_dump_with_ledger_error(case):
+    doc = two_commit_dump()
+    MALFORMED[case](doc)
+    with pytest.raises(LedgerError, match="malformed dump"):
+        ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+
+
+def test_load_refuses_a_dump_that_is_not_an_object():
+    with pytest.raises(LedgerError, match="malformed dump"):
+        ConsortiumLedger.load([], cost_model=UNIT_COST)
+
+
+def resealed_with(ledger, transaction):
+    """The ledger's dump with one more block, hashed and applied as a commit is."""
+    ledger.blocks.append(Block(index=len(ledger.blocks),
+                               prev_hash=ledger.blocks[-1].hash,
+                               transactions=[transaction]).seal())
+    ledger.world_state.apply(transaction)
+    assert ledger.verify_chain() is None
+    return ledger.dump()
+
+
+ALL_MEMBERS = tuple(f"member-{i}" for i in range(UNIT_COST.member_count))
+# Appended transactions that a chain check alone lets through.
+FORGED_COMMITS = {
+    # AS 99 takes AS 10's active prefix with no endorsements at all
+    "hijack, unendorsed": (tx("register", "10.0.0.0/24", 99), ()),
+    "hijack, endorsed by all": (tx("register", "10.0.0.0/24", 99), ALL_MEMBERS),
+    "free prefix, unendorsed": (tx("register", "10.9.0.0/24", 99), ()),
+    "free prefix, one member twice": (tx("register", "10.9.0.0/24", 99),
+                                      ("member-0", "member-0")),
+    "free prefix, unknown members": (tx("register", "10.9.0.0/24", 99),
+                                     ("member-7", "member-8")),
+    "status update by another AS": (tx("update_status", "10.0.0.0/24", 99,
+                                       active=False), ALL_MEMBERS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_COMMITS))
+def test_load_replays_chaincode_and_counts_endorsements(case):
+    ledger, _, r10, _ = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    forged, endorsements = FORGED_COMMITS[case]
+    doc = resealed_with(ledger, replace(forged, endorsements=endorsements))
+    with pytest.raises(LedgerError):
+        ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+
+
+def test_load_accepts_an_appended_commit_that_meets_both_checks():
+    ledger, _, r10, _ = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    free = replace(tx("register", "10.9.0.0/24", 99), endorsements=ALL_MEMBERS[:2])
+    doc = resealed_with(ledger, free)
+    loaded = ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+    assert loaded.world_state.get("10.9.0.0/24").asn == 99
