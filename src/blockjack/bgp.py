@@ -161,25 +161,18 @@ class SimClock:
         return self.mari_interval * max(1, k)
 
 
-def preference_key(route: Route):
-    """Total order for best-path selection.
-
-    Highest weight, then highest local_pref, then shortest AS path,
-    then lowest MED, then lowest next-hop router id; the AS path itself
-    makes the order total over distinct route values.
-    """
-    return (-route.weight, -route.local_pref, len(route.as_path), route.med,
-            route.next_hop, route.as_path)
-
-
 def select_best(candidates: list[Route]) -> Optional[Route]:
     """Pick the unique winner among valid candidates for one prefix.
 
+    The preference order: highest weight, then highest local_pref, then
+    shortest AS path, then lowest MED, then lowest next-hop router id;
+    the AS path itself makes the order total over distinct route values.
+    The key is built inline with the list index appended, so among equal
+    keys the first candidate wins and two ``Route`` objects are never
+    compared.
+
     Flags exactly the winner as best. Pure in the candidate multiset:
     permutation-invariant and idempotent. Returns None for no candidates.
-    Ranks as ``min(candidates, key=preference_key)`` does, with the key
-    built inline and the list index appended: among equal keys the first
-    candidate wins, and two ``Route`` objects are never compared.
     """
     if not candidates:
         return None
@@ -361,9 +354,7 @@ class Simulation:
         router = self._router(rid)
         rows = []
         for _, table in sorted(router.rib.items()):
-            routes = (table.values() if len(table) == 1
-                      else [table[next_hop] for next_hop in sorted(table)])
-            for route in routes:
+            for _, route in sorted(table.items()):
                 rows.append({
                     "prefix": route.prefix,
                     "next_hop": route.next_hop,
