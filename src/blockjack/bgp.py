@@ -14,10 +14,18 @@ AS paths are validated once, where they enter: ``Route(...)`` rejects an
 empty path, a loop or a bad ASN.  The plane's own copies skip that check
 because they are loop-free by construction: ``process_update`` drops any
 path holding the receiver's ASN, and an advertisement only prepends the
-sender's ASN, which its ``RouterId`` has already checked.  After a route
-is installed in a table its fields stay fixed; ``is_best`` is the only
-one that changes.  A caller that edits a ``Route`` after constructing it
-bypasses the checks, and ``process_update`` stores what it is given.
+sender's ASN, which its ``RouterId`` has already checked.
+
+Each route carries its selection key, ``rank``, computed when the route
+is built.  After a route is installed in a table its fields, ``rank``
+included, stay fixed; ``is_best`` is the only one that changes.  A
+caller that edits a ``Route`` after constructing it bypasses the checks
+and leaves ``rank`` stale, and ``process_update`` stores what it is
+given.  One advertisement serves every neighbor of the sender: each
+receiver stores a copy that shares the advert's ``rank`` unless an
+import ``local_pref`` override changes it, and one frozen
+``UpdateMessage`` serves every neighbor at the same link delay, since it
+names no receiver.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ import heapq
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .types import Prefix, RouterId, check_asn
@@ -51,7 +60,9 @@ class Route:
 
     ``as_path`` is ordered head = nearest neighbor, tail = origin AS.
     A locally originated route has ``next_hop`` equal to the owning
-    router and ``as_path`` of just the owner's ASN.
+    router and ``as_path`` of just the owner's ASN.  ``rank`` is the
+    selection key (see :func:`route_rank`), derived from the other
+    fields at construction.
     """
 
     prefix: Prefix
@@ -63,6 +74,7 @@ class Route:
     metric: int = 0
     is_valid: bool = True
     is_best: bool = False
+    rank: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.as_path:
@@ -71,6 +83,8 @@ class Route:
             raise ValueError(f"as_path contains a loop: {self.as_path}")
         for asn in self.as_path:
             check_asn(asn)
+        self.rank = route_rank(self.weight, self.local_pref, self.as_path,
+                               self.med, self.next_hop)
 
     @property
     def origin(self) -> int:
@@ -108,16 +122,31 @@ class UpdateMessage:
             raise ValueError("announce requires a route")
 
 
+def route_rank(weight: int, local_pref: int, as_path: tuple[int, ...], med: int,
+               next_hop: RouterId) -> tuple:
+    """A route's selection key: the lower key is the more preferred route.
+
+    The order: highest weight, then highest local_pref, then shortest AS
+    path, then lowest MED, then lowest next-hop router id; the AS path
+    itself makes the order total over distinct route values.
+    """
+    return (-weight, -local_pref, len(as_path), med, next_hop, as_path)
+
+
 _new_route = object.__new__
+_rank_of = attrgetter("rank")
+_is_best = attrgetter("is_best")
 
 
 def _unchecked_route(prefix: Prefix, next_hop: RouterId, as_path: tuple[int, ...],
                      local_pref: int, med: int, weight: int, metric: int,
-                     is_valid: bool) -> Route:
+                     is_valid: bool, rank: tuple) -> Route:
     """A Route built without the path checks, for the plane's own copies.
 
     Callers pass a loop-free path of checked ASNs; the module docstring
-    says why each caller's path is one.
+    says why each caller's path is one.  ``rank`` must equal
+    ``route_rank`` of the other fields; a caller passes one it already
+    holds instead of building an equal tuple.
     """
     route = _new_route(Route)
     route.prefix = prefix
@@ -129,6 +158,7 @@ def _unchecked_route(prefix: Prefix, next_hop: RouterId, as_path: tuple[int, ...
     route.metric = metric
     route.is_valid = is_valid
     route.is_best = False
+    route.rank = rank
     return route
 
 
@@ -164,23 +194,20 @@ class SimClock:
 def select_best(candidates: list[Route]) -> Optional[Route]:
     """Pick the unique winner among valid candidates for one prefix.
 
-    The preference order: highest weight, then highest local_pref, then
-    shortest AS path, then lowest MED, then lowest next-hop router id;
-    the AS path itself makes the order total over distinct route values.
-    The key is built inline with the list index appended, so among equal
-    keys the first candidate wins and two ``Route`` objects are never
-    compared.
+    Ranks by each route's ``rank`` (see :func:`route_rank`), built once
+    when the route was.  ``min`` keeps the first of equal keys, so among
+    equal values the first candidate wins, and two ``Route`` objects are
+    never compared.
 
     Flags exactly the winner as best. Pure in the candidate multiset:
     permutation-invariant and idempotent. Returns None for no candidates.
     """
     if not candidates:
         return None
-    winner = candidates[min([(-r.weight, -r.local_pref, len(r.as_path), r.med,
-                              r.next_hop, r.as_path, i)
-                             for i, r in enumerate(candidates)])[-1]]
-    for route in candidates:
-        route.is_best = route is winner
+    winner = min(candidates, key=_rank_of)
+    for route in filter(_is_best, candidates):
+        route.is_best = False
+    winner.is_best = True
     return winner
 
 
@@ -342,10 +369,12 @@ class Simulation:
         if router.blocks(msg.sender, route.origin):
             log.debug("%s drops %s from %s: inbound filter", rid, msg.prefix, msg.sender)
             return ("dropped-filter", None)
+        local_pref = router.local_pref_in.get(msg.sender, route.local_pref)
+        rank = route.rank if local_pref == route.local_pref else route_rank(
+            route.weight, local_pref, route.as_path, route.med, route.next_hop)
         stored = _unchecked_route(
-            route.prefix, route.next_hop, route.as_path,
-            router.local_pref_in.get(msg.sender, route.local_pref),
-            route.med, route.weight, route.metric, route.is_valid)
+            route.prefix, route.next_hop, route.as_path, local_pref,
+            route.med, route.weight, route.metric, route.is_valid, rank)
         router.rib.setdefault(msg.prefix, {})[msg.sender] = stored
         return ("installed", self._after_table_change(router, msg.prefix))
 
@@ -402,25 +431,28 @@ class Simulation:
         router._scheduled_boundary = None
         pending, router.pending = sorted(router.pending), set()
         neighbors = sorted(router.neighbors.items())
+        sender, now = router.rid, self.clock.now
         for prefix in pending:
             best = router.best.get(prefix)
             if best is None:
                 kind, advert = WITHDRAW, None
             else:
-                # one advert for every neighbor: each receiver stores a copy
                 kind = ANNOUNCE
+                path = router.advertised_path(best)
                 advert = _unchecked_route(
-                    prefix, router.rid, router.advertised_path(best),
-                    DEFAULT_LOCAL_PREF, best.med, 0, best.metric, True)
+                    prefix, sender, path, DEFAULT_LOCAL_PREF, best.med, 0,
+                    best.metric, True,
+                    route_rank(0, DEFAULT_LOCAL_PREF, path, best.med, sender))
+            # one message per link delay: it names no receiver
+            by_delay: dict[float, UpdateMessage] = {}
             for neighbor, delay in neighbors:
-                self._send(router.rid, neighbor, kind, prefix, advert, delay)
-
-    def _send(self, sender: RouterId, receiver: RouterId, kind: str,
-              prefix: Prefix, route: Optional[Route], delay: float):
-        deliver_at = self.clock.now + delay
-        msg = UpdateMessage(kind=kind, sender=sender, prefix=prefix,
-                            delivery_time=deliver_at, route=route)
-        self.schedule(deliver_at, lambda: self.process_update(receiver, msg))
+                msg = by_delay.get(delay)
+                if msg is None:
+                    msg = by_delay[delay] = UpdateMessage(kind, sender, prefix,
+                                                          now + delay, advert)
+                self.schedule(msg.delivery_time,
+                              lambda receiver=neighbor, msg=msg:
+                              self.process_update(receiver, msg))
 
 
 # -- external interfaces ----------------------------------------------------

@@ -138,10 +138,16 @@ class ScenarioMetrics:
 
 
 class AttackMonitor:
-    """Times adversarial takeovers and filter responses at one router."""
+    """Times adversarial takeovers and filter responses at one router.
+
+    Keeps the clock and the home router, not the simulation, which holds
+    this monitor's callback: a finished scenario then frees itself by
+    reference counting, without waiting for the cyclic collector.
+    """
 
     def __init__(self, sim: Simulation, home: RouterId):
-        self.sim = sim
+        self.clock = sim.clock
+        self.router = sim.routers[home]
         self.home = home
         self.records: dict[Prefix, AttackRecord] = {}
         self.appearance_events: list[Appearance] = []
@@ -175,7 +181,7 @@ class AttackMonitor:
         record = self.records.get(prefix)
         if record is None:
             return
-        now = self.sim.clock.now
+        now = self.clock.now
         was = old is not None and old.origin == record.adversary
         is_now = new is not None and new.origin == record.adversary
         if is_now:
@@ -204,7 +210,7 @@ class AttackMonitor:
             return
         if not self._filters_by_origin.get(record.adversary):
             return
-        best = self.sim.routers[self.home].best.get(record.prefix)
+        best = self.router.best.get(record.prefix)
         if best is None or best.origin != record.adversary:
             record.neutralized_at = now
 

@@ -381,7 +381,12 @@ class ConsortiumLedger:
     # -- integrity ---------------------------------------------------------
 
     def verify_chain(self) -> Optional[int]:
-        """Recheck every hash and link; None if intact, else first broken index."""
+        """Recheck every hash and link; None if intact, else first broken index.
+
+        A chain without its genesis block is broken at index 0.
+        """
+        if not self.blocks:
+            return 0
         for i, block in enumerate(self.blocks):
             if block.index != i:
                 return i

@@ -11,7 +11,9 @@ Endpoints (bodies are UTF-8 JSON):
     POST /prefix/status   {"router_id", "prefix", "asn", "active"}
     GET  /prefix?prefix=...&asn=...&router_id=...
 
-Errors come back as {"error": {"class": ..., "message": ...}}.
+Errors come back as {"error": {"class": ..., "message": ...}}: 400 for a
+malformed request, 401 for a failed authentication, 404 for an unknown
+path, 413 for a body above MAX_BODY_BYTES and 500 for anything else.
 """
 
 from __future__ import annotations
@@ -42,7 +44,12 @@ class PayloadTooLarge(Exception):
     """Content-Length above MAX_BODY_BYTES; the body is left unread."""
 
 
+class UnknownPath(Exception):
+    """A request for a path the gateway does not serve."""
+
+
 _STATUS_BY_ERROR = {
+    UnknownPath: 404,
     PayloadTooLarge: 413,
     AuthenticationError: 401,
     CredentialError: 401,
@@ -117,7 +124,7 @@ class GatewayHTTPServer:
                 try:
                     url = urlparse(self.path)
                     if url.path != "/prefix":
-                        raise KeyError(f"unknown path {url.path}")
+                        raise UnknownPath(f"unknown path {url.path}")
                     query = {k: v[0] for k, v in parse_qs(url.query).items()}
                     req = GatewayRequest.from_payload(ACTION_VERIFY, query)
                     with outer._lock:
@@ -152,7 +159,7 @@ class GatewayHTTPServer:
         if path == "/prefix/status":
             req = GatewayRequest.from_payload(ACTION_UPDATE, payload)
             return result_payload(profiler.handle_request(req))
-        raise KeyError(f"unknown path {path}")
+        raise UnknownPath(f"unknown path {path}")
 
     @property
     def address(self) -> str:

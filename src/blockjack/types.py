@@ -64,6 +64,8 @@ class RouterId(namedtuple("RouterId", "asn index")):
 
     def __new__(cls, asn: int, index: int = 0) -> "RouterId":
         check_asn(asn)
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise TypeError(f"router index must be an integer, got {index!r}")
         if index < 0:
             raise ValueError(f"router index must be >= 0: {index}")
         return tuple.__new__(cls, (asn, index))

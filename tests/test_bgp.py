@@ -17,6 +17,7 @@ from blockjack.bgp import (
     apply_event_script,
     dump_topology,
     load_topology,
+    route_rank,
     select_best,
     snapshot_json,
 )
@@ -105,16 +106,16 @@ def test_select_best_equal_values_pick_first_in_list_order():
         assert [r.is_best for r in order] == [True, False, False]
 
 
+def inline_key(r):
+    """The preference order written out from the route's own fields."""
+    return (-r.weight, -r.local_pref, len(r.as_path), r.med, r.next_hop, r.as_path)
+
+
 def brute_force_best(candidates):
     """Independent oracle: full sort of the attribute tuple."""
     if not candidates:
         return None
-    ranked = sorted(
-        candidates,
-        key=lambda r: (-r.weight, -r.local_pref, len(r.as_path), r.med,
-                       r.next_hop, r.as_path),
-    )
-    return ranked[0]
+    return sorted(candidates, key=inline_key)[0]
 
 
 def random_candidates(rng, max_size=8):
@@ -173,10 +174,55 @@ def test_unchecked_route_sets_every_field_like_route():
     # stay unset and raise AttributeError on first read
     args = dict(prefix=P1, next_hop=B, as_path=(20, 40), local_pref=150,
                 med=3, weight=7, metric=9, is_valid=False)
-    fast = _unchecked_route(**args)
+    fast = _unchecked_route(**args, rank=route_rank(7, 150, (20, 40), 3, B))
     checked = Route(**args)
     for field in dataclasses.fields(Route):
         assert getattr(fast, field.name) == getattr(checked, field.name), field.name
+
+
+def test_rank_is_the_inline_key():
+    routes = random_candidates(random.Random(5), max_size=8)
+    routes += [dataclasses.replace(r, local_pref=r.local_pref + 7) for r in routes]
+    routes += [_unchecked_route(r.prefix, r.next_hop, r.as_path, r.local_pref, r.med,
+                                r.weight, r.metric, r.is_valid,
+                                route_rank(r.weight, r.local_pref, r.as_path,
+                                           r.med, r.next_hop))
+               for r in routes]
+    for route in routes:
+        assert route.rank == inline_key(route)
+
+
+def detour(override=None):
+    """d = 40 originates P1; A hears it over B in two hops, over C in three.
+
+    ``override`` is A's import local_pref for routes learned from C.
+    """
+    d, e = RouterId(40), RouterId(50)
+    sim = line(B, A, C, e, d)
+    sim.add_link(B, d)
+    if override is not None:
+        sim.routers[A].local_pref_in[C] = override
+    sim.originate_prefix(d, P1, 0.0)
+    sim.run_until(200.0)
+    return sim
+
+
+def test_plane_copies_rank_by_their_own_fields():
+    # every stored copy, one of them under an import override, carries the
+    # key of its own fields, so each advert was ranked by its own fields too
+    sim = detour(override=200)
+    stored = [route for router in sim.routers.values()
+              for table in router.rib.values() for route in table.values()]
+    assert any(route.local_pref == 200 for route in stored)
+    for route in stored:
+        assert route.rank == inline_key(route)
+
+
+def test_local_pref_override_lets_a_longer_path_win():
+    assert best_row(detour(), A, P1)["as_path"] == (20, 40)
+    # A's copy must rank by the override's local_pref, not the advert's
+    row = best_row(detour(override=200), A, P1)
+    assert row["as_path"] == (30, 50, 40) and row["local_pref"] == 200
 
 
 # -- clock / MARI batching ----------------------------------------------
@@ -203,6 +249,24 @@ def test_two_node_delivery_at_boundary_plus_delay():
     row = best_row(sim, B, P1)
     assert row["as_path"] == (10,)
     assert row["next_hop"] == A
+
+
+def test_each_neighbor_hears_at_its_own_link_delay():
+    d = RouterId(40)
+    sim = Simulation()
+    for rid in (A, B, C, d):
+        sim.add_router(rid)
+    sim.add_link(A, B, 0.1)
+    sim.add_link(A, C, 0.5)
+    sim.add_link(A, d, 0.1)
+    sim.originate_prefix(A, P1, 0.0)
+    sim.run_until(30.1)
+    assert best_row(sim, B, P1)["next_hop"] == A
+    assert best_row(sim, d, P1)["next_hop"] == A
+    sim.run_until(30.49)
+    assert best_row(sim, C, P1) is None
+    assert sim.run_until(30.5) == 1
+    assert best_row(sim, C, P1)["next_hop"] == A
 
 
 def test_run_until_now_processes_nothing():

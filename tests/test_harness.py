@@ -1,10 +1,13 @@
 import csv
+import gc
 import io
 import json
 import math
+import weakref
 
 import pytest
 
+from blockjack import harness
 from blockjack.bgp import Simulation
 from blockjack.harness import (
     AttackMonitor,
@@ -74,6 +77,28 @@ def test_inject_requires_registered_prefix_and_foreign_adversary():
         inject_attack(sim, ledger, monitor, prefix, owner, 0.0)  # owner, not attack
     record = inject_attack(sim, ledger, monitor, prefix, adversary, 5.0)
     assert record.true_owner == 10 and record.adversary == 99
+
+
+def test_finished_scenario_is_freed_without_the_cyclic_collector(monkeypatch):
+    # a reference cycle through the simulation would keep it alive until a
+    # full collection, while the next scenario builds its own
+    built = []
+    build = harness.build_simulation
+
+    def build_and_watch(*args, **kwargs):
+        sim = build(*args, **kwargs)
+        built.append(weakref.ref(sim))
+        return sim
+
+    monkeypatch.setattr(harness, "build_simulation", build_and_watch)
+    gc.disable()
+    try:
+        run("single_path", routers=20, seed=1)
+        run("multi_path", routers=20, seed=1)
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
+    finally:
+        gc.enable()
 
 
 # -- single-path runs ----------------------------------------------------------

@@ -292,6 +292,12 @@ def test_genesis_only_chain_is_ok():
     assert ledger.blocks[0].transactions == []
 
 
+def test_chain_without_genesis_is_broken_at_zero():
+    ledger = ConsortiumLedger(cost_model=UNIT_COST)
+    ledger.blocks = []
+    assert ledger.verify_chain() == 0
+
+
 def test_chain_ok_after_commits():
     ledger, _, r10, _ = make_ledger()
     for i in range(20):

@@ -99,7 +99,7 @@ def test_http_error_shape(server):
     assert status == 400 and "class" in body["error"]
 
     status, body = call(server, "POST", "/no/such/path", {})
-    assert status == 400
+    assert status == 404 and body["error"]["class"] == "UnknownPath"
 
 
 def test_http_profile_requires_admin_first():
@@ -141,6 +141,21 @@ def raw_post(server, content_length):
         return resp.status, json.loads(resp.read().decode())
     finally:
         conn.close()
+
+
+def test_http_unknown_paths_are_not_found(server):
+    host, port = server._server.server_address[:2]
+    for method, path in [("GET", "/no/such/path"), ("GET", "/prefix/status"),
+                         ("POST", "/prefixes"), ("POST", "/")]:
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.request(method, path, body=b"{}" if method == "POST" else None)
+            resp = conn.getresponse()
+            body = json.loads(resp.read().decode())
+        finally:
+            conn.close()
+        assert resp.status == 404, (method, path)
+        assert body["error"]["class"] == "UnknownPath"
 
 
 def test_http_refuses_oversized_body_unread(server):

@@ -87,6 +87,17 @@ def test_identifier_keyword_construction_matches_positional():
         RouterId(asn=True)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RouterId(10, 1.5), lambda: RouterId(asn=10, index=1.5),
+    lambda: RouterId(10, True), lambda: RouterId(index=False, asn=10),
+    lambda: RouterId(10, "1"),
+], ids=["float", "float-kw", "bool", "bool-kw", "str"])
+def test_router_id_index_must_be_an_integer(make):
+    # a float index would print as "10.1.5", which RouterId.parse refuses
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_identifiers_are_immutable():
     p, rid = Prefix(0x0A000000, 8), RouterId(10, 1)
     for obj, field in ((p, "base"), (p, "length"), (rid, "asn"), (rid, "index")):
