@@ -11,21 +11,21 @@ Everything is single-threaded per instance; two simulations never share
 state.
 
 AS paths are validated once, where they enter: ``Route(...)`` rejects an
-empty path, a loop or a bad ASN.  The plane's own copies skip that check
+empty path, a loop or a bad ASN.  The plane's own adverts skip that check
 because they are loop-free by construction: ``process_update`` drops any
 path holding the receiver's ASN, and an advertisement only prepends the
 sender's ASN, which its ``RouterId`` has already checked.
 
 Each route carries its selection key, ``rank``, computed when the route
-is built.  After a route is installed in a table its fields, ``rank``
-included, stay fixed; ``is_best`` is the only one that changes.  A
-caller that edits a ``Route`` after constructing it bypasses the checks
-and leaves ``rank`` stale, and ``process_update`` stores what it is
-given.  One advertisement serves every neighbor of the sender: each
-receiver stores a copy that shares the advert's ``rank`` unless an
-import ``local_pref`` override changes it, and one frozen
-``UpdateMessage`` serves every neighbor at the same link delay, since it
-names no receiver.
+is built.  A route never changes once built, so one object can sit in
+many tables; which route is best is recorded only in ``Router.best``.
+A caller that edits a ``Route`` after constructing it bypasses the
+checks and leaves ``rank`` stale, and ``process_update`` stores what it
+is given.  One advertisement serves every neighbor of the sender: each
+receiver stores the advert itself, unless an import ``local_pref``
+override applies, in which case it stores a copy ranked by the
+override; and one frozen ``UpdateMessage`` serves every neighbor at the
+same link delay, since it names no receiver.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import heapq
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
@@ -62,7 +62,8 @@ class Route:
     A locally originated route has ``next_hop`` equal to the owning
     router and ``as_path`` of just the owner's ASN.  ``rank`` is the
     selection key (see :func:`route_rank`), derived from the other
-    fields at construction.
+    fields at construction.  A route is a value: the plane never changes
+    one after building it, and tables and messages share it.
     """
 
     prefix: Prefix
@@ -73,7 +74,6 @@ class Route:
     weight: int = 0
     metric: int = 0
     is_valid: bool = True
-    is_best: bool = False
     rank: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,19 +90,6 @@ class Route:
     def origin(self) -> int:
         """Origin AS: the tail of the AS path."""
         return self.as_path[-1]
-
-    def same_value(self, other: Optional["Route"]) -> bool:
-        """Attribute equality ignoring the is_best marker."""
-        if other is None:
-            return False
-        return (self.prefix == other.prefix
-                and self.next_hop == other.next_hop
-                and self.as_path == other.as_path
-                and self.local_pref == other.local_pref
-                and self.med == other.med
-                and self.weight == other.weight
-                and self.metric == other.metric
-                and self.is_valid == other.is_valid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,13 +122,12 @@ def route_rank(weight: int, local_pref: int, as_path: tuple[int, ...], med: int,
 
 _new_route = object.__new__
 _rank_of = attrgetter("rank")
-_is_best = attrgetter("is_best")
 
 
 def _unchecked_route(prefix: Prefix, next_hop: RouterId, as_path: tuple[int, ...],
                      local_pref: int, med: int, weight: int, metric: int,
                      is_valid: bool, rank: tuple) -> Route:
-    """A Route built without the path checks, for the plane's own copies.
+    """A Route built without the path checks, for the plane's own adverts.
 
     Callers pass a loop-free path of checked ASNs; the module docstring
     says why each caller's path is one.  ``rank`` must equal
@@ -157,7 +143,6 @@ def _unchecked_route(prefix: Prefix, next_hop: RouterId, as_path: tuple[int, ...
     route.weight = weight
     route.metric = metric
     route.is_valid = is_valid
-    route.is_best = False
     route.rank = rank
     return route
 
@@ -199,16 +184,13 @@ def select_best(candidates: list[Route]) -> Optional[Route]:
     equal values the first candidate wins, and two ``Route`` objects are
     never compared.
 
-    Flags exactly the winner as best. Pure in the candidate multiset:
-    permutation-invariant and idempotent. Returns None for no candidates.
+    Mutates nothing; the caller records the winner in ``Router.best``.
+    Pure in the candidate multiset: permutation-invariant and
+    idempotent. Returns None for no candidates.
     """
     if not candidates:
         return None
-    winner = min(candidates, key=_rank_of)
-    for route in filter(_is_best, candidates):
-        route.is_best = False
-    winner.is_best = True
-    return winner
+    return min(candidates, key=_rank_of)
 
 
 class Router:
@@ -244,7 +226,7 @@ class Router:
                 self.rib.pop(prefix, None)
         else:
             self.best[prefix] = new
-        if new is old or (new is not None and new.same_value(old)):
+        if new is old or new == old:
             return None
         return (old, new)
 
@@ -353,7 +335,13 @@ class Simulation:
         return rule
 
     def process_update(self, rid: RouterId, msg: UpdateMessage):
-        """Apply one delivered update; returns the table delta or a drop reason."""
+        """Apply one delivered update; returns the table delta or a drop reason.
+
+        An installed announce stores ``msg.route`` itself, shared with
+        every other receiver of the advert.  Only an import
+        ``local_pref`` override that differs from the advert's makes a
+        new ``Route``, ranked by the override.
+        """
         router = self._router(rid)
         assert msg.delivery_time == self.clock.now, "update delivered off-schedule"
         if msg.kind == WITHDRAW:
@@ -370,19 +358,17 @@ class Simulation:
             log.debug("%s drops %s from %s: inbound filter", rid, msg.prefix, msg.sender)
             return ("dropped-filter", None)
         local_pref = router.local_pref_in.get(msg.sender, route.local_pref)
-        rank = route.rank if local_pref == route.local_pref else route_rank(
-            route.weight, local_pref, route.as_path, route.med, route.next_hop)
-        stored = _unchecked_route(
-            route.prefix, route.next_hop, route.as_path, local_pref,
-            route.med, route.weight, route.metric, route.is_valid, rank)
-        router.rib.setdefault(msg.prefix, {})[msg.sender] = stored
+        if local_pref != route.local_pref:
+            route = replace(route, local_pref=local_pref)
+        router.rib.setdefault(msg.prefix, {})[msg.sender] = route
         return ("installed", self._after_table_change(router, msg.prefix))
 
     def snapshot_table(self, rid: RouterId) -> list[dict]:
         """Stable-ordered, read-only copy of a router's table rows."""
         router = self._router(rid)
         rows = []
-        for _, table in sorted(router.rib.items()):
+        for prefix, table in sorted(router.rib.items()):
+            best = router.best.get(prefix)
             for _, route in sorted(table.items()):
                 rows.append({
                     "prefix": route.prefix,
@@ -392,7 +378,7 @@ class Simulation:
                     "weight": route.weight,
                     "as_path": route.as_path,
                     "is_valid": route.is_valid,
-                    "is_best": route.is_best,
+                    "is_best": route is best,
                 })
         return rows
 

@@ -63,7 +63,6 @@ def mk(next_hop, path, lp=DEFAULT_LOCAL_PREF, med=0, weight=0):
 def test_select_best_single_candidate_is_itself():
     r = mk(B, [20])
     assert select_best([r]) is r
-    assert r.is_best
 
 
 def test_select_best_empty_is_none():
@@ -74,7 +73,6 @@ def test_select_best_prefers_shorter_path():
     short = mk(B, [20, 40])
     longer = mk(C, [30, 50, 40])
     assert select_best([longer, short]) is short
-    assert short.is_best and not longer.is_best
 
 
 def test_select_best_order_of_attributes():
@@ -103,7 +101,6 @@ def test_select_best_equal_values_pick_first_in_list_order():
     for order in ([first, second, third], [second, third, first],
                   [third, first, second]):
         assert select_best(order) is order[0]
-        assert [r.is_best for r in order] == [True, False, False]
 
 
 def inline_key(r):
@@ -149,7 +146,19 @@ def test_select_best_matches_brute_force_oracle():
         rng.shuffle(shuffled)
         got = select_best(shuffled)
         assert got is expected
-        assert sum(r.is_best for r in routes) == 1
+
+
+def field_values(route):
+    return tuple(getattr(route, f.name) for f in dataclasses.fields(Route))
+
+
+def test_select_best_changes_no_candidate():
+    rng = random.Random(11)
+    for _ in range(200):
+        routes = random_candidates(rng)
+        before = [field_values(r) for r in routes]
+        select_best(routes)
+        assert [field_values(r) for r in routes] == before
 
 
 def test_select_best_permutation_invariant_and_idempotent():
@@ -361,6 +370,32 @@ def test_loop_prevention_drops_and_leaves_table_unchanged():
     action, delta = sim.process_update(A, msg)
     assert action == "dropped-loop"
     assert sim.snapshot_table(A) == []
+
+
+def test_receiver_stores_the_advert_itself():
+    sim = line(A, B)
+    advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
+    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
+                                        delivery_time=0.0, route=advert))
+    assert sim.routers[A].rib[P1][B] is advert
+    # through the plane, both of A's neighbors hold A's one advert
+    sim = triangle()
+    sim.originate_prefix(A, P1, 0.0)
+    sim.run_until(30.1)
+    assert sim.routers[B].rib[P1][A] is sim.routers[C].rib[P1][A]
+
+
+def test_receiver_with_override_stores_its_own_copy():
+    sim = line(A, B)
+    sim.routers[A].local_pref_in[B] = 250
+    advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
+    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
+                                        delivery_time=0.0, route=advert))
+    stored = sim.routers[A].rib[P1][B]
+    assert stored is not advert
+    assert stored.local_pref == 250 and advert.local_pref == DEFAULT_LOCAL_PREF
+    assert stored.rank == inline_key(stored)
+    assert advert.rank == inline_key(advert)
 
 
 def test_filter_drops_matching_update():
