@@ -42,14 +42,6 @@ class OriginEntry(NamedTuple):
 
 
 @dataclass
-class OriginCache:
-    """Triples seen at the last scan: own-AS (ROA) or neighbor-announced (ROV)."""
-
-    entries: set[OriginEntry] = field(default_factory=set)
-    last_scan: float = -1.0
-
-
-@dataclass
 class DispatcherConfig:
     home_router: RouterId
     scan_interval: float = 1.0
@@ -107,11 +99,11 @@ class Dispatcher:
         self.config = config
         self.home = config.home_router
         self.own_asn = config.home_router.asn
-        self.roa_cache = OriginCache()
-        self.rov_cache = OriginCache()
+        # triples seen at the last scan: own-AS (ROA) and neighbor-announced (ROV)
+        self.roa_cache: set[OriginEntry] = set()
+        self.rov_cache: set[OriginEntry] = set()
         self.registered: set[Prefix] = set()   # prefixes this agent ever added
         self.reports: list[DispatcherReport] = []
-        self.total_verifies = 0
         self._filters_sent: set[tuple[RouterId, int]] = set()
         # callbacks fired when a filter actually lands: (rule, install_time)
         self.on_filter: list[Callable[[FilterRule, float], None]] = []
@@ -132,10 +124,9 @@ class Dispatcher:
                     report: Optional[DispatcherReport] = None) -> list[tuple[OriginEntry, str]]:
         """Push announcements/withdrawals of own prefixes to the ledger."""
         report = report if report is not None else DispatcherReport(now, str(self.home))
-        cache = self.roa_cache
         next_entries = set(roa_var)
         actions: list[tuple[OriginEntry, str]] = []
-        for entry in sorted(roa_var - cache.entries):
+        for entry in sorted(roa_var - self.roa_cache):
             known = entry.prefix in self.registered
             req = self._own_request(ACTION_UPDATE if known else ACTION_ADD,
                                     entry.prefix, active=True if known else None)
@@ -154,7 +145,7 @@ class Dispatcher:
                 actions.append((entry, "add"))
                 if isinstance(result, CommitResult):
                     self.registered.add(entry.prefix)
-        for entry in sorted(cache.entries - roa_var):
+        for entry in sorted(self.roa_cache - roa_var):
             req = self._own_request(ACTION_UPDATE, entry.prefix, active=False)
             try:
                 self.gateway.handle_request(req, now=now)
@@ -165,8 +156,7 @@ class Dispatcher:
                 continue
             report.status_updates += 1
             actions.append((entry, "deactivate"))
-        cache.entries = next_entries
-        cache.last_scan = now
+        self.roa_cache = next_entries
         return actions
 
     def verifier_sync(self, rov_var: set[OriginEntry], now: float,
@@ -174,10 +164,9 @@ class Dispatcher:
                       ) -> list[tuple[OriginEntry, VerificationSignal, str]]:
         """Verify newly seen external triples; filter the invalid ones."""
         report = report if report is not None else DispatcherReport(now, str(self.home))
-        cache = self.rov_cache
         next_entries = set(rov_var)
         results = []
-        for entry in sorted(rov_var - cache.entries):
+        for entry in sorted(rov_var - self.rov_cache):
             req = GatewayRequest(action=ACTION_VERIFY, prefix=entry.prefix,
                                  asn=entry.origin, claimed_router=self.home)
             try:
@@ -188,7 +177,6 @@ class Dispatcher:
                 next_entries.discard(entry)
                 continue
             report.verifies += 1
-            self.total_verifies += 1
             signal = answer.signal
             accepted = signal is VerificationSignal.VALID or (
                 signal is VerificationSignal.UNKNOWN
@@ -200,8 +188,7 @@ class Dispatcher:
                               deny_prefix=entry.prefix)
             self._emit_filter(rule, answer.completed_at, report)
             results.append((entry, signal, FILTER))
-        cache.entries = next_entries
-        cache.last_scan = now
+        self.rov_cache = next_entries
         return results
 
     def schedule_ticks(self, until: float):
