@@ -34,6 +34,7 @@ import heapq
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
@@ -266,8 +267,8 @@ class Simulation:
     def add_link(self, a: RouterId, b: RouterId, delay: float = DEFAULT_LINK_DELAY):
         if a == b:
             raise SimulationError("self links are not allowed")
-        if delay < 0:
-            raise SimulationError("link delay must be >= 0")
+        if not 0 <= delay < math.inf:
+            raise SimulationError(f"link delay must be finite and >= 0, got {delay}")
         ra, rb = self._router(a), self._router(b)
         ra.neighbors[b] = delay
         rb.neighbors[a] = delay
@@ -444,6 +445,27 @@ class Simulation:
 # -- external interfaces ----------------------------------------------------
 
 
+@contextmanager
+def _naming(what: str):
+    """Re-raise a bad input entry's error as a SimulationError naming the entry.
+
+    A missing key reads ``routers[0] lacks 'asn'``; a wrong type or value,
+    or a contract violation the entry causes, keeps its own message.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise SimulationError(f"{what} lacks {exc.args[0]!r}") from None
+    except (SimulationError, TypeError, ValueError) as exc:
+        raise SimulationError(f"{what}: {exc}") from exc
+
+
+def _list_of(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{name!r} is not a list")
+    return value
+
+
 def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     """Build a simulation from the topology JSON document.
 
@@ -455,15 +477,21 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
                       "local_pref": 200}, ...]}   # optional
 
     Router ids in "links"/"peering" refer to the integer "id" field;
-    the full wire form ``asn.index`` is also accepted.
+    the full wire form ``asn.index`` is also accepted.  Raises
+    SimulationError naming the first bad entry, e.g. ``links[2]``.
     """
+    with _naming("topology"):
+        routers = _list_of(doc["routers"], "routers")
+        links = _list_of(doc.get("links") or [], "links")
+        peering = _list_of(doc.get("peering") or [], "peering")
     sim = Simulation(mari=mari)
     by_label: dict[str, RouterId] = {}
-    for entry in doc["routers"]:
-        rid = RouterId(check_asn(int(entry["asn"])), int(entry["id"]))
-        sim.add_router(rid)
-        by_label[str(entry["id"])] = rid
-        by_label[str(rid)] = rid
+    for i, entry in enumerate(routers):
+        with _naming(f"routers[{i}]"):
+            rid = RouterId(check_asn(int(entry["asn"])), int(entry["id"]))
+            sim.add_router(rid)
+            by_label[str(entry["id"])] = rid
+            by_label[str(rid)] = rid
 
     def resolve(label) -> RouterId:
         key = str(label)
@@ -471,12 +499,14 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
             raise SimulationError(f"unknown router reference {label!r}")
         return by_label[key]
 
-    for link in doc.get("links", []):
-        sim.add_link(resolve(link["a"]), resolve(link["b"]),
-                     float(link.get("delay_s", DEFAULT_LINK_DELAY)))
-    for override in doc.get("peering", []) or []:
-        router = sim._router(resolve(override["router"]))
-        router.local_pref_in[resolve(override["neighbor"])] = int(override["local_pref"])
+    for i, link in enumerate(links):
+        with _naming(f"links[{i}]"):
+            sim.add_link(resolve(link["a"]), resolve(link["b"]),
+                         float(link.get("delay_s", DEFAULT_LINK_DELAY)))
+    for i, override in enumerate(peering):
+        with _naming(f"peering[{i}]"):
+            router = sim._router(resolve(override["router"]))
+            router.local_pref_in[resolve(override["neighbor"])] = int(override["local_pref"])
     return sim
 
 
@@ -498,24 +528,28 @@ def dump_topology(sim: Simulation) -> dict:
 def apply_event_script(sim: Simulation, events: Iterable[dict]):
     """Schedule a JSON event script: a list of {t, op, args} entries.
 
-    Supported ops: originate, withdraw, install_filter.
+    Supported ops: originate, withdraw, install_filter.  Raises
+    SimulationError naming the first bad entry, e.g. ``events[3]``.
     """
-    for event in events:
-        t = float(event["t"])
-        op = event["op"]
-        args = event.get("args", {})
-        rid = RouterId.parse(args["router"])
-        if op == "originate":
-            sim.originate_prefix(rid, Prefix.parse(args["prefix"]), t)
-        elif op == "withdraw":
-            sim.withdraw_prefix(rid, Prefix.parse(args["prefix"]), t)
-        elif op == "install_filter":
-            rule = FilterRule(neighbor=RouterId.parse(args["neighbor"]),
-                              deny_origin=check_asn(int(args["deny_origin"])),
-                              deny_prefix=Prefix.parse(args["deny_prefix"]))
-            sim.schedule(t, lambda r=rid, f=rule: sim.install_inbound_filter(r, f))
-        else:
-            raise SimulationError(f"unknown script op: {op}")
+    for i, event in enumerate(events):
+        with _naming(f"events[{i}]"):
+            t = float(event["t"])
+            if not math.isfinite(t):
+                raise ValueError(f"t must be finite, got {t}")
+            op = event["op"]
+            if op not in ("originate", "withdraw", "install_filter"):
+                raise SimulationError(f"unknown script op: {op}")
+            args = event.get("args", {})
+            rid = RouterId.parse(args["router"])
+            if op == "originate":
+                sim.originate_prefix(rid, Prefix.parse(args["prefix"]), t)
+            elif op == "withdraw":
+                sim.withdraw_prefix(rid, Prefix.parse(args["prefix"]), t)
+            else:
+                rule = FilterRule(neighbor=RouterId.parse(args["neighbor"]),
+                                  deny_origin=check_asn(int(args["deny_origin"])),
+                                  deny_prefix=Prefix.parse(args["deny_prefix"]))
+                sim.schedule(t, lambda r=rid, f=rule: sim.install_inbound_filter(r, f))
 
 
 def snapshot_jsonable(rows: list[dict]) -> list[dict]:

@@ -594,6 +594,43 @@ def test_load_topology_and_script_roundtrip():
     assert json.dumps(doc, sort_keys=True)  # JSON-serializable
 
 
+ORIGINATE = {"t": 0.0, "op": "originate",
+             "args": {"router": "10.0", "prefix": "10.0.0.0/24"}}
+
+
+@pytest.mark.parametrize("doc,events,message", [
+    ({}, [], "topology lacks 'routers'"),
+    ({"routers": "abc"}, [], "topology: 'routers' is not a list"),
+    ({"routers": ["abc"]}, [], "routers[0]: "),
+    ({"routers": [{"id": 0}]}, [], "routers[0] lacks 'asn'"),
+    ({"routers": [{"id": "x", "asn": 10}]}, [], "routers[0]: invalid literal"),
+    ({"routers": [{"id": 0, "asn": 10}, {"id": 0, "asn": 10}]}, [],
+     "routers[1]: duplicate router"),
+    (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 9}]), [],
+     "links[0]: unknown router reference 9"),
+    (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 1, "delay_s": "nan"}]), [],
+     "links[0]: link delay must be finite"),
+    (dict(TOPOLOGY_DOC, peering=[{"router": 0, "neighbor": 1}]), [],
+     "peering[0] lacks 'local_pref'"),
+    (TOPOLOGY_DOC, [{"op": "originate", "args": ORIGINATE["args"]}],
+     "events[0] lacks 't'"),
+    (TOPOLOGY_DOC, [ORIGINATE, dict(ORIGINATE, t="nan")],
+     "events[1]: t must be finite"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, op="reboot")], "events[0]: unknown script op"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, args={"router": "10.0"})],
+     "events[0] lacks 'prefix'"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, args={"router": "10.0", "prefix": "10.0.0/99"})],
+     "events[0]: "),
+], ids=["empty", "routers-not-list", "router-not-object", "router-lacks-asn",
+        "router-id-not-numeric", "duplicate-router", "link-unknown-router",
+        "link-delay-nan", "peering-lacks-local-pref", "event-lacks-t", "event-t-nan",
+        "event-unknown-op", "event-lacks-prefix", "event-bad-prefix"])
+def test_bad_topology_or_script_names_the_entry(doc, events, message):
+    with pytest.raises(SimulationError) as excinfo:
+        apply_event_script(load_topology(doc), events)
+    assert str(excinfo.value).startswith(message)
+
+
 def test_event_script_filter_op():
     sim = load_topology(TOPOLOGY_DOC)
     apply_event_script(sim, [
