@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockjack.bgp import (
     ANNOUNCE,
@@ -532,6 +534,81 @@ def test_at_most_one_best_and_loop_freedom_throughout():
                 if row["is_best"]:
                     per_prefix[row["prefix"]] = per_prefix.get(row["prefix"], 0) + 1
             assert all(v == 1 for v in per_prefix.values())
+
+
+# five ASes on a ring with one chord; links are (router index, router index, delay)
+RING = [RouterId(asn) for asn in (10, 20, 30, 40, 50)]
+RING_LINKS = [(0, 1, 0.1), (1, 2, 0.3), (2, 3, 0.1), (3, 4, 0.3), (4, 0, 0.1),
+              (1, 3, 0.1)]
+RING_SESSIONS = sorted({(a, b) for a, b, _ in RING_LINKS}
+                       | {(b, a) for a, b, _ in RING_LINKS})
+
+ring_steps = st.lists(st.one_of(
+    st.tuples(st.just("originate"), st.integers(0, 4), st.sampled_from([P1, P2])),
+    st.tuples(st.just("withdraw"), st.integers(0, 4), st.sampled_from([P1, P2])),
+    # router, and a pick among the (neighbor, origin) pairs it could deny
+    st.tuples(st.just("filter"), st.integers(0, 4), st.integers(0, 24)),
+    # mari is 1 s: a route crosses one hop per boundary, so most runs
+    # move several hops
+    st.tuples(st.just("run"), st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 5.0])),
+), min_size=4, max_size=40)
+
+
+def check_best_is_recorded_once(sim, seen):
+    """router.best is the oracle's pick, the only best row, over unchanged routes.
+
+    ``seen`` maps id(route) to (route, its field values when first seen);
+    holding the route keeps its id from being reused.
+    """
+    for rid, router in sim.routers.items():
+        rows = sim.snapshot_table(rid)
+        for prefix in set(router.rib) | set(router.best):
+            table = router.rib.get(prefix, {})
+            best = router.best.get(prefix)
+            assert best is brute_force_best([r for r in table.values() if r.is_valid])
+            best_rows = [(row["next_hop"], row["as_path"], row["local_pref"])
+                         for row in rows if row["prefix"] == prefix and row["is_best"]]
+            assert best_rows == ([] if best is None
+                                 else [(best.next_hop, best.as_path, best.local_pref)])
+            for route in table.values():
+                first = seen.setdefault(id(route), (route, field_values(route)))
+                assert field_values(route) == first[1]
+
+
+@settings(derandomize=True, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(RING_SESSIONS),
+                                 st.sampled_from([50, 100, 150, 300])),
+       steps=ring_steps)
+def test_router_best_is_the_only_record_of_best(overrides, steps):
+    sim = Simulation(mari=1.0)
+    for rid in RING:
+        sim.add_router(rid)
+    for a, b, delay in RING_LINKS:
+        sim.add_link(RING[a], RING[b], delay)
+    for (a, b), local_pref in overrides.items():
+        sim.routers[RING[a]].local_pref_in[RING[b]] = local_pref
+    seen = {}
+    for kind, *args in steps:
+        if kind == "run":
+            sim.run_until(sim.clock.now + args[0])
+        elif kind == "filter":
+            # deny a route the router holds, if any, so most filters purge one
+            rid = RING[args[0]]
+            router = sim.routers[rid]
+            pairs = sorted({(sender, route.origin) for table in router.rib.values()
+                            for sender, route in table.items() if sender != rid}
+                           ) or [(n, r.asn) for n in sorted(router.neighbors) for r in RING]
+            neighbor, origin = pairs[args[1] % len(pairs)]
+            sim.install_inbound_filter(rid, FilterRule(neighbor=neighbor, deny_origin=origin,
+                                                       deny_prefix=P1))
+        else:
+            rid, prefix = RING[args[0]], args[1]
+            originated = prefix in sim.routers[rid].originated
+            if kind == "originate" and not originated:
+                sim.originate_prefix(rid, prefix)
+            elif kind == "withdraw" and originated:
+                sim.withdraw_prefix(rid, prefix)
+        check_best_is_recorded_once(sim, seen)
 
 
 def test_snapshot_is_pure_and_stable_ordered():
