@@ -341,7 +341,9 @@ class Simulation:
         An installed announce stores ``msg.route`` itself, shared with
         every other receiver of the advert.  Only an import
         ``local_pref`` override that differs from the advert's makes a
-        new ``Route``, ranked by the override.
+        new ``Route``, ranked by the override.  An announce must name
+        its sender as next hop: tables are keyed by sender, so no route
+        object then sits twice in one table, and exactly one row is best.
         """
         router = self._router(rid)
         assert msg.delivery_time == self.clock.now, "update delivered off-schedule"
@@ -352,6 +354,9 @@ class Simulation:
                 return ("withdrawn", self._after_table_change(router, msg.prefix))
             return ("no-op", None)
         route = msg.route
+        if route.next_hop != msg.sender:
+            raise SimulationError(f"announce from {msg.sender} names next hop "
+                                  f"{route.next_hop}")
         if router.asn in route.as_path:
             log.debug("%s drops %s: own ASN in path %s", rid, msg.prefix, route.as_path)
             return ("dropped-loop", None)

@@ -387,6 +387,18 @@ def test_receiver_stores_the_advert_itself():
     assert sim.routers[B].rib[P1][A] is sim.routers[C].rib[P1][A]
 
 
+def test_announce_must_name_its_sender_as_next_hop():
+    # one advert object under two senders would make two rows best
+    sim = triangle()
+    advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
+    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
+                                        delivery_time=0.0, route=advert))
+    with pytest.raises(SimulationError):
+        sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=C, prefix=P1,
+                                            delivery_time=0.0, route=advert))
+    assert [row["is_best"] for row in sim.snapshot_table(A)] == [True]
+
+
 def test_receiver_with_override_stores_its_own_copy():
     sim = line(A, B)
     sim.routers[A].local_pref_in[B] = 250
