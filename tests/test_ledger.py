@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockjack.ledger import (
     CALIBRATED_COST,
@@ -528,3 +530,109 @@ def test_load_accepts_an_appended_commit_that_meets_both_checks():
     doc = resealed_with(ledger, free)
     loaded = ConsortiumLedger.load(doc, cost_model=UNIT_COST)
     assert loaded.world_state.get("10.9.0.0/24").asn == 99
+
+
+# -- invariants under any write sequence ------------------------------------------
+
+
+def reference_json(ledger):
+    """The dump as the indent encoder renders it; to_json must match it byte for byte."""
+    return json.dumps(ledger.dump(), sort_keys=True, indent=2) + "\n"
+
+
+def check_ledger_invariants(ledger, model):
+    replayed = WorldState()
+    for block in ledger.blocks:
+        for transaction in block.transactions:
+            replayed.apply(transaction)
+    assert replayed == ledger.world_state
+    assert ledger.verify_chain() is None
+    members = {member.member_id for member in ledger.members}
+    for block in ledger.blocks:
+        for transaction in block.transactions:
+            assert len(members.intersection(transaction.endorsements)) \
+                >= model.endorsements_required
+    text = ledger.to_json()
+    assert text == reference_json(ledger)
+    assert ConsortiumLedger.load(json.loads(text), cost_model=model).to_json() == text
+
+
+PROP_PREFIXES = ("10.0.0.0/24", "10.1.0.0/24", "192.0.2.0/24")
+PROP_ASNS = (10, 20, 30)
+# One write: (kind, prefix, submitter, claimed ASN, active, now).  Submitter
+# len(PROP_ASNS) is the admin, whose credential carries no ASN.  Claiming
+# another AS's number is a spoof; registering a prefix that another AS
+# holds is a cross-AS grab.
+ledger_writes = st.lists(st.tuples(
+    st.sampled_from(["register", "update_status"]),
+    st.sampled_from(PROP_PREFIXES),
+    st.integers(0, len(PROP_ASNS)),
+    st.sampled_from(PROP_ASNS),
+    st.booleans(),
+    st.sampled_from([0.0, 1.5, 2.25, 1e300])), max_size=30)
+
+
+@settings(derandomize=True, deadline=None)
+@given(member_count=st.integers(1, 7), writes=ledger_writes)
+def test_ledger_invariants_hold_for_any_write_sequence(member_count, writes):
+    model = CostModel(1.0, 1.0, 1.0, member_count)
+    ledger = ConsortiumLedger(cost_model=model)
+    admin = ledger.enroll_admin("admin")
+    submitters = [ledger.register_router(RouterId(asn), admin) for asn in PROP_ASNS]
+    submitters.append(admin)
+    commits = 0
+    for kind, prefix, who, asn, active, now in writes:
+        if kind == "register":
+            result = ledger.submit_authorization(prefix, asn, submitters[who], now=now)
+        else:
+            result = ledger.submit_status_update(prefix, asn, active, submitters[who],
+                                                 now=now)
+        commits += isinstance(result, CommitResult)
+    assert ledger.chain_length == commits + 1
+    check_ledger_invariants(ledger, model)
+
+
+def append_commit(ledger, transaction):
+    """Seal one more block holding transaction and apply it, as a commit does."""
+    ledger.blocks.append(Block(index=len(ledger.blocks),
+                               prev_hash=ledger.blocks[-1].hash,
+                               transactions=[transaction]).seal())
+    ledger.world_state.apply(transaction)
+
+
+# Strings with quotes, escapes and non-ASCII characters, and submission
+# times that JSON renders in every form: ints, NaN, infinities, 1e300.
+odd_text = st.one_of(st.sampled_from(['"', "\\", "\u00e9\"\u00fc", "\u2603\n\t", "\U0001f600",
+                                      "\x00\x7f", ""]),
+                     st.text(max_size=6))
+odd_time = st.one_of(st.integers(-10**20, 10**20), st.floats(),
+                     st.sampled_from([1e300, -0.0, 5]))
+odd_transactions = st.lists(st.tuples(
+    st.sampled_from(["register", "update_status"]), odd_text, st.sampled_from([10, 99]),
+    odd_text, st.booleans(), odd_text, odd_time), max_size=8)
+
+
+@settings(derandomize=True, deadline=None)
+@given(odd_transactions)
+def test_to_json_renders_odd_loaded_values_as_json_dumps(entries):
+    ledger = ConsortiumLedger(cost_model=UNIT_COST)
+    for kind, prefix, asn, doc_type, active, submitter, submitted_at in entries:
+        transaction = Transaction(kind, LedgerRecord(prefix, asn, doc_type, active),
+                                  submitter, asn, ALL_MEMBERS[:2], submitted_at)
+        if chaincode_evaluate(transaction, ledger.world_state).approved:
+            append_commit(ledger, transaction)
+    check_ledger_invariants(ledger, UNIT_COST)
+
+
+def test_to_json_renders_values_that_never_pass_load():
+    """No submitter ASN, no endorsements and no blocks: load refuses them all."""
+    ledger = ConsortiumLedger(cost_model=UNIT_COST)
+    assert ledger.to_json() == reference_json(ledger)
+    orphan = Transaction("register", LedgerRecord("10.0.0.0/24", 10), "admin", None,
+                         (), 3)
+    append_commit(ledger, orphan)
+    assert ledger.to_json() == reference_json(ledger)
+    with pytest.raises(LedgerError):
+        ConsortiumLedger.load(json.loads(ledger.to_json()), cost_model=UNIT_COST)
+    ledger.blocks = []
+    assert ledger.to_json() == reference_json(ledger)
