@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -115,14 +115,64 @@ class Block:
         return self
 
 
+# json.dumps(obj, sort_keys=True, separators=(",", ":")), without building
+# an encoder per call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_bytes(obj) -> bytes:
     """Field-ordered, length-prefixed serialization used for hashing."""
-    payload = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = _CANONICAL_ENCODER.encode(obj).encode("utf-8")
     return len(payload).to_bytes(8, "big") + payload
 
 
 def digest(obj) -> str:
     return hashlib.sha256(canonical_bytes(obj)).hexdigest()
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_value(value) -> str:
+    """One scalar of the dump as ``json.dumps`` renders it.
+
+    Strings, ints, bools and finite floats take the C paths ``json``
+    itself takes for them; NaN, the infinities, None and anything else
+    go through ``json.dumps``.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _record_json(record: LedgerRecord, pad: str) -> str:
+    """A record as an indented JSON object whose keys sit at indent ``pad``."""
+    return (f'{{\n{pad}"active": {_json_value(record.active)},\n'
+            f'{pad}"asn": {_json_value(record.asn)},\n'
+            f'{pad}"doc_type": {_json_value(record.doc_type)},\n'
+            f'{pad}"prefix": {_json_value(record.prefix)}\n{pad[2:]}}}')
+
+
+def _append_transaction(append, tx: Transaction):
+    """Append a transaction of a block's list to to_json's pieces."""
+    if tx.endorsements:
+        append('        {\n          "endorsements": [\n            '
+               + ",\n            ".join(map(_json_value, tx.endorsements))
+               + '\n          ],\n')
+    else:
+        append('        {\n          "endorsements": [],\n')
+    append(f'          "kind": {_json_value(tx.kind)},\n          "record": ')
+    append(_record_json(tx.record, "            "))
+    append(f',\n          "submitted_at": {_json_value(tx.submitted_at)},\n'
+           f'          "submitter": {_json_value(tx.submitter)},\n'
+           f'          "submitter_asn": {_json_value(tx.submitter_asn)}\n        }}')
 
 
 @dataclass
@@ -136,12 +186,21 @@ class WorldState:
         return self.records.get(prefix)
 
     def apply(self, tx: Transaction):
-        """Commit one endorsed transaction; a commit and a replay share this."""
-        prefix = tx.record.prefix
+        """Commit one endorsed transaction; a commit and a replay share this.
+
+        A registration stores its transaction's record itself when that
+        record is already active (both are frozen), else an active copy;
+        a status update stores a copy of the held record with the new flag.
+        """
+        record = tx.record
+        prefix = record.prefix
         if tx.kind == KIND_REGISTER:
-            self.records[prefix] = replace(tx.record, active=True)
+            self.records[prefix] = record if record.active is True else \
+                LedgerRecord(prefix, record.asn, record.doc_type, True)
         elif tx.kind == KIND_UPDATE_STATUS and prefix in self.records:
-            self.records[prefix] = replace(self.records[prefix], active=tx.record.active)
+            held = self.records[prefix]
+            self.records[prefix] = LedgerRecord(held.prefix, held.asn, held.doc_type,
+                                                record.active)
         else:
             raise LedgerError(f"cannot apply {tx.kind!r} to {prefix!r}")
         self.version += 1
@@ -157,29 +216,37 @@ class ChaincodeVerdict:
     reason: Optional[str] = None
 
 
+_APPROVED = ChaincodeVerdict(True)
+_DENIED_CONFLICT = ChaincodeVerdict(False, REASON_CONFLICT)
+_DENIED_NOT_FOUND = ChaincodeVerdict(False, REASON_NOT_FOUND)
+_DENIED_CREDENTIAL_MISMATCH = ChaincodeVerdict(False, REASON_CREDENTIAL_MISMATCH)
+
+
 def chaincode_evaluate(tx: Transaction, state: WorldState) -> ChaincodeVerdict:
     """The deterministic contract every member runs before endorsing.
 
     Registration passes on a free prefix or when re-activating an
     inactive record of the same owner; a status update passes only
     against an existing record of the same owner.  Never mutates state.
+    Verdicts are frozen and shared: every call returns one of four
+    module-level objects, one approval and one per denial reason.
     """
     if tx.submitter_asn != tx.record.asn:
-        return ChaincodeVerdict(False, REASON_CREDENTIAL_MISMATCH)
+        return _DENIED_CREDENTIAL_MISMATCH
     existing = state.get(tx.record.prefix)
     if tx.kind == KIND_REGISTER:
         if existing is None:
-            return ChaincodeVerdict(True)
+            return _APPROVED
         if not existing.active and existing.asn == tx.record.asn:
-            return ChaincodeVerdict(True)  # re-activation path
-        return ChaincodeVerdict(False, REASON_CONFLICT)
+            return _APPROVED  # re-activation path
+        return _DENIED_CONFLICT
     if tx.kind == KIND_UPDATE_STATUS:
         if existing is None:
-            return ChaincodeVerdict(False, REASON_NOT_FOUND)
+            return _DENIED_NOT_FOUND
         if existing.asn != tx.record.asn:
-            return ChaincodeVerdict(False, REASON_CREDENTIAL_MISMATCH)
-        return ChaincodeVerdict(True)
-    return ChaincodeVerdict(False, REASON_CONFLICT)
+            return _DENIED_CREDENTIAL_MISMATCH
+        return _APPROVED
+    return _DENIED_CONFLICT
 
 
 @dataclass(frozen=True)
@@ -353,7 +420,7 @@ class ConsortiumLedger:
             reason = verdict.reason if not verdict.approved else REASON_CONSENSUS_FAILURE
             self.stats["denials"] += 1
             return Denial(reason=reason, completed_at=when)
-        tx = replace(draft, endorsements=approvals)
+        tx = Transaction(kind, record, cred.subject, cred.asn, approvals, now)
         block = Block(index=len(self.blocks), prev_hash=self.blocks[-1].hash,
                       transactions=[tx]).seal()
         self.blocks.append(block)
@@ -415,7 +482,44 @@ class ConsortiumLedger:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.dump(), sort_keys=True, indent=2) + "\n"
+        """The dump as the JSON text that ``--dump-ledger`` writes.
+
+        The bytes are those of ``json.dumps(self.dump(), sort_keys=True,
+        indent=2) + "\n"``, but rendered straight from the blocks and the
+        world state, keys in sorted order: CPython's encoder runs in pure
+        Python when it indents, and makes a string per token of the dump.
+        """
+        out = ['{\n  "blocks": [']
+        append = out.append
+        sep = "\n    {\n"
+        for block in self.blocks:
+            append(f'{sep}      "hash": {_json_value(block.hash)},\n'
+                   f'      "index": {_json_value(block.index)},\n'
+                   f'      "prev_hash": {_json_value(block.prev_hash)},\n'
+                   f'      "transactions": ')
+            if block.transactions:
+                tx_sep = "[\n"
+                for tx in block.transactions:
+                    append(tx_sep)
+                    _append_transaction(append, tx)
+                    tx_sep = ",\n"
+                append("\n      ]\n    }")
+            else:
+                append("[]\n    }")
+            sep = ",\n    {\n"
+        append("\n  ],\n" if self.blocks else "],\n")
+        append(f'  "hash_algorithm": {_json_value(HASH_ALGORITHM)},\n'
+               f'  "member_count": {_json_value(self.cost_model.member_count)},\n'
+               f'  "version": {_json_value(self.world_state.version)},\n'
+               f'  "world_state": ')
+        records = self.world_state.records
+        sep = "{\n    "
+        for prefix in sorted(records):
+            append(f"{sep}{_json_value(prefix)}: ")
+            append(_record_json(records[prefix], "      "))
+            sep = ",\n    "
+        append("\n  }\n}\n" if records else "{}\n}\n")
+        return "".join(out)
 
     @classmethod
     def load(cls, doc: dict, cost_model: CostModel = CALIBRATED_COST,
