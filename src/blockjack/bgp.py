@@ -471,6 +471,14 @@ def _list_of(value, name: str) -> list:
     return value
 
 
+def _integer(value, name: str) -> int:
+    """An id or ASN as an int, refusing rather than truncating a bool or a
+    JSON number written with a fraction or an exponent."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     """Build a simulation from the topology JSON document.
 
@@ -482,7 +490,9 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
                       "local_pref": 200}, ...]}   # optional
 
     Router ids in "links"/"peering" refer to the integer "id" field;
-    the full wire form ``asn.index`` is also accepted.  Raises
+    the full wire form ``asn.index`` is also accepted.  An "id" or "asn"
+    that is a bool or a non-integral number, and a second link between
+    the same two routers in either orientation, are refused.  Raises
     SimulationError naming the first bad entry, e.g. ``links[2]``.
     """
     with _naming("topology"):
@@ -493,7 +503,8 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     by_label: dict[str, RouterId] = {}
     for i, entry in enumerate(routers):
         with _naming(f"routers[{i}]"):
-            rid = RouterId(check_asn(int(entry["asn"])), int(entry["id"]))
+            rid = RouterId(check_asn(_integer(entry["asn"], "asn")),
+                           _integer(entry["id"], "id"))
             sim.add_router(rid)
             by_label[str(entry["id"])] = rid
             by_label[str(rid)] = rid
@@ -506,8 +517,10 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
 
     for i, link in enumerate(links):
         with _naming(f"links[{i}]"):
-            sim.add_link(resolve(link["a"]), resolve(link["b"]),
-                         float(link.get("delay_s", DEFAULT_LINK_DELAY)))
+            a, b = resolve(link["a"]), resolve(link["b"])
+            if b in sim.routers[a].neighbors:
+                raise SimulationError(f"duplicate link between {a} and {b}")
+            sim.add_link(a, b, float(link.get("delay_s", DEFAULT_LINK_DELAY)))
     for i, override in enumerate(peering):
         with _naming(f"peering[{i}]"):
             router = sim._router(resolve(override["router"]))
@@ -533,28 +546,51 @@ def dump_topology(sim: Simulation) -> dict:
 def apply_event_script(sim: Simulation, events: Iterable[dict]):
     """Schedule a JSON event script: a list of {t, op, args} entries.
 
-    Supported ops: originate, withdraw, install_filter.  Raises
-    SimulationError naming the first bad entry, e.g. ``events[3]``.
+    Supported ops: originate, withdraw, install_filter.  Every entry is
+    parsed and checked, against the origins the entries before it leave,
+    before any is scheduled: a bad entry raises SimulationError naming
+    it, e.g. ``events[3]``, and leaves the simulation as it was.
     """
+    plan = []
+    originated: dict[RouterId, set[Prefix]] = {}   # as the script leaves them
     for i, event in enumerate(events):
         with _naming(f"events[{i}]"):
             t = float(event["t"])
             if not math.isfinite(t):
                 raise ValueError(f"t must be finite, got {t}")
+            if t < sim.clock.now:
+                raise SimulationError(f"cannot schedule at {t} before now={sim.clock.now}")
             op = event["op"]
             if op not in ("originate", "withdraw", "install_filter"):
                 raise SimulationError(f"unknown script op: {op}")
             args = event.get("args", {})
             rid = RouterId.parse(args["router"])
+            if op == "install_filter":
+                plan.append((t, op, rid, FilterRule(
+                    neighbor=RouterId.parse(args["neighbor"]),
+                    deny_origin=check_asn(int(args["deny_origin"])),
+                    deny_prefix=Prefix.parse(args["deny_prefix"]))))
+                continue
+            prefix = Prefix.parse(args["prefix"])
+            if rid not in originated:
+                originated[rid] = set(sim._router(rid).originated)
+            held = originated[rid]
             if op == "originate":
-                sim.originate_prefix(rid, Prefix.parse(args["prefix"]), t)
-            elif op == "withdraw":
-                sim.withdraw_prefix(rid, Prefix.parse(args["prefix"]), t)
+                if prefix in held:
+                    raise SimulationError(f"{rid} already originates {prefix}")
+                held.add(prefix)
             else:
-                rule = FilterRule(neighbor=RouterId.parse(args["neighbor"]),
-                                  deny_origin=check_asn(int(args["deny_origin"])),
-                                  deny_prefix=Prefix.parse(args["deny_prefix"]))
-                sim.schedule(t, lambda r=rid, f=rule: sim.install_inbound_filter(r, f))
+                if prefix not in held:
+                    raise SimulationError(f"{rid} does not originate {prefix}")
+                held.discard(prefix)
+            plan.append((t, op, rid, prefix))
+    for t, op, rid, arg in plan:
+        if op == "originate":
+            sim.originate_prefix(rid, arg, t)
+        elif op == "withdraw":
+            sim.withdraw_prefix(rid, arg, t)
+        else:
+            sim.schedule(t, lambda r=rid, f=arg: sim.install_inbound_filter(r, f))
 
 
 def snapshot_jsonable(rows: list[dict]) -> list[dict]:

@@ -23,6 +23,7 @@ from blockjack.bgp import (
     select_best,
     snapshot_json,
 )
+from blockjack.topology import gen_topology
 from blockjack.types import MAX_ASN, Prefix, RouterId
 
 P1 = Prefix.parse("10.0.0.0/24")
@@ -709,14 +710,63 @@ ORIGINATE = {"t": 0.0, "op": "originate",
      "events[0] lacks 'prefix'"),
     (TOPOLOGY_DOC, [dict(ORIGINATE, args={"router": "10.0", "prefix": "10.0.0/99"})],
      "events[0]: "),
+    ({"routers": [{"id": 0.7, "asn": 10}]}, [], "routers[0]: id must be an integer"),
+    ({"routers": [{"id": 0, "asn": 10.9}]}, [], "routers[0]: asn must be an integer"),
+    ({"routers": [{"id": 0, "asn": 10}, {"id": True, "asn": 20}]}, [],
+     "routers[1]: id must be an integer"),
+    ({"routers": [{"id": 0, "asn": False}]}, [], "routers[0]: asn must be an integer"),
+    (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 1, "delay_s": 0.1},
+                               {"a": 1, "b": 0, "delay_s": 5}]), [],
+     "links[1]: duplicate link between 20.1 and 10.0"),
+    (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 1}, {"a": 1, "b": 2}, {"a": 0, "b": 1}]),
+     [], "links[2]: duplicate link between 10.0 and 20.1"),
+    (TOPOLOGY_DOC, [ORIGINATE, dict(ORIGINATE, t=5.0)],
+     "events[1]: 10.0 already originates 10.0.0.0/24"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, op="withdraw")],
+     "events[0]: 10.0 does not originate 10.0.0.0/24"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, t=-1.0)], "events[0]: cannot schedule at -1.0"),
 ], ids=["empty", "routers-not-list", "router-not-object", "router-lacks-asn",
         "router-id-not-numeric", "duplicate-router", "link-unknown-router",
         "link-delay-nan", "peering-lacks-local-pref", "event-lacks-t", "event-t-nan",
-        "event-unknown-op", "event-lacks-prefix", "event-bad-prefix"])
+        "event-unknown-op", "event-lacks-prefix", "event-bad-prefix",
+        "router-id-fraction", "router-asn-fraction", "router-id-bool", "router-asn-bool",
+        "duplicate-link-reversed", "duplicate-link", "event-originates-twice",
+        "event-withdraws-unoriginated", "event-in-the-past"])
 def test_bad_topology_or_script_names_the_entry(doc, events, message):
     with pytest.raises(SimulationError) as excinfo:
         apply_event_script(load_topology(doc), events)
     assert str(excinfo.value).startswith(message)
+
+
+@pytest.mark.parametrize("bad_entry,message", [
+    ({"op": "withdraw", "args": ORIGINATE["args"]}, "events[1] lacks 't'"),
+    (dict(ORIGINATE, t=3.0), "events[1]: 10.0 already originates"),
+], ids=["entry-lacks-t", "entry-originates-twice"])
+def test_bad_script_schedules_nothing_and_a_corrected_retry_succeeds(bad_entry, message):
+    sim = load_topology(TOPOLOGY_DOC)
+    filter_entry = {"t": 1.0, "op": "install_filter",
+                    "args": {"router": "20.1", "neighbor": "10.0",
+                             "deny_origin": 99, "deny_prefix": "10.0.0.0/24"}}
+    with pytest.raises(SimulationError) as excinfo:
+        apply_event_script(sim, [ORIGINATE, bad_entry, filter_entry])
+    assert str(excinfo.value).startswith(message)
+    assert sim._queue == []
+    assert all(not router.originated for router in sim.routers.values())
+    apply_event_script(sim, [ORIGINATE, dict(ORIGINATE, t=90.0, op="withdraw"),
+                             filter_entry])
+    sim.run_until(70.0)
+    assert best_row(sim, RouterId(20, 1), P1) is not None
+    assert sim.routers[RouterId(20, 1)].filters
+    sim.run_until(200.0)
+    assert sim.snapshot_table(RouterId(20, 1)) == []
+
+
+@pytest.mark.parametrize("kind", ["single_path", "multi_path", "random"])
+def test_generated_topology_documents_load_link_for_link(kind):
+    """gen_topology never names a pair twice, so its documents pass the link check."""
+    topo = gen_topology(kind, 40, attacks=3, seed=2)
+    sim = load_topology(topo.document())
+    assert len(dump_topology(sim)["links"]) == len(topo.links)
 
 
 def test_event_script_filter_op():
