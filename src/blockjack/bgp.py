@@ -36,6 +36,7 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
@@ -566,10 +567,11 @@ def apply_event_script(sim: Simulation, events: Iterable[dict]):
             args = event.get("args", {})
             rid = RouterId.parse(args["router"])
             if op == "install_filter":
-                plan.append((t, op, rid, FilterRule(
-                    neighbor=RouterId.parse(args["neighbor"]),
-                    deny_origin=check_asn(int(args["deny_origin"])),
-                    deny_prefix=Prefix.parse(args["deny_prefix"]))))
+                rule = FilterRule(neighbor=RouterId.parse(args["neighbor"]),
+                                  deny_origin=check_asn(int(args["deny_origin"])),
+                                  deny_prefix=Prefix.parse(args["deny_prefix"]))
+                plan.append(partial(sim.schedule, t,
+                                    partial(sim.install_inbound_filter, rid, rule)))
                 continue
             prefix = Prefix.parse(args["prefix"])
             if rid not in originated:
@@ -579,18 +581,14 @@ def apply_event_script(sim: Simulation, events: Iterable[dict]):
                 if prefix in held:
                     raise SimulationError(f"{rid} already originates {prefix}")
                 held.add(prefix)
+                plan.append(partial(sim.originate_prefix, rid, prefix, t))
             else:
                 if prefix not in held:
                     raise SimulationError(f"{rid} does not originate {prefix}")
                 held.discard(prefix)
-            plan.append((t, op, rid, prefix))
-    for t, op, rid, arg in plan:
-        if op == "originate":
-            sim.originate_prefix(rid, arg, t)
-        elif op == "withdraw":
-            sim.withdraw_prefix(rid, arg, t)
-        else:
-            sim.schedule(t, lambda r=rid, f=arg: sim.install_inbound_filter(r, f))
+                plan.append(partial(sim.withdraw_prefix, rid, prefix, t))
+    for schedule in plan:
+        schedule()
 
 
 def snapshot_jsonable(rows: list[dict]) -> list[dict]:
