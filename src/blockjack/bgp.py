@@ -7,6 +7,16 @@ the re-advertisement for the next advertisement-interval boundary
 instead of flushing per message, so ledger-side work can race the
 routing plane the way it would against a real update interval.
 
+The queue is bucketed by time: a heap holds each distinct event time
+once, and a dict maps each time to a list of its actions in the order
+they were scheduled.  Sequence numbers only grow and a bucket holds one
+time, so draining the earliest bucket in list order, actions appended
+to it while it drains included, is exactly ``(time, sequence)`` order.
+A flush's deliveries at one link delay share a time, so the heap moves
+once per distinct time rather than once per event.  Actions are
+``functools.partial`` objects, which are cheaper to build and to call
+than closures.
+
 Everything is single-threaded per instance; two simulations never share
 state.
 
@@ -124,6 +134,11 @@ def route_rank(weight: int, local_pref: int, as_path: tuple[int, ...], med: int,
 
 _new_route = object.__new__
 _rank_of = attrgetter("rank")
+# Every advert has weight 0 and the default local_pref, so every advert's
+# rank starts with these same two objects.  Tuple comparison skips
+# identical elements without comparing them, so ranking adverts against
+# each other starts at the path length.
+_ADVERT_RANK_HEAD = route_rank(0, DEFAULT_LOCAL_PREF, (), 0, None)[:2]
 
 
 def _unchecked_route(prefix: Prefix, next_hop: RouterId, as_path: tuple[int, ...],
@@ -212,26 +227,6 @@ class Router:
         self.local_pref_in: dict[RouterId, int] = {}
         self._scheduled_boundary: Optional[float] = None
 
-    def blocks(self, sender: RouterId, origin: int) -> bool:
-        return (sender, origin) in self.filters
-
-    def candidates(self, prefix: Prefix) -> list[Route]:
-        return [r for r in self.rib.get(prefix, {}).values() if r.is_valid]
-
-    def reselect(self, prefix: Prefix) -> Optional[tuple[Optional[Route], Optional[Route]]]:
-        """Re-run selection for one prefix; returns (old, new) on change."""
-        old = self.best.get(prefix)
-        new = select_best(self.candidates(prefix))
-        if new is None:
-            self.best.pop(prefix, None)
-            if not self.rib.get(prefix):
-                self.rib.pop(prefix, None)
-        else:
-            self.best[prefix] = new
-        if new is old or new == old:
-            return None
-        return (old, new)
-
     def is_local(self, route: Route) -> bool:
         return route.next_hop == self.rid
 
@@ -250,8 +245,10 @@ class Simulation:
             raise ValueError("advertisement interval must be positive")
         self.clock = SimClock(0.0, mari)
         self.routers: dict[RouterId, Router] = {}
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        self._queue: list[float] = []       # heap of the times in _buckets
+        self._buckets: dict[float, list[Callable[[], None]]] = {}
         self._seq = 0
+        self._running = False
         self.events_processed = 0
         # callbacks (router_id, prefix, old_best, new_best)
         self.on_best_change: list[Callable[[RouterId, Prefix, Optional[Route], Optional[Route]], None]] = []
@@ -283,23 +280,64 @@ class Simulation:
     # -- event queue -----------------------------------------------------
 
     def schedule(self, t: float, action: Callable[[], None]) -> int:
-        if t < self.clock.now:
-            raise SimulationError(f"cannot schedule at {t} before now={self.clock.now}")
+        """Queue action at time t, after everything already queued at t.
+
+        Returns the action's sequence number.  A time before now, NaN or
+        an infinity is refused.
+        """
+        if not self.clock.now <= t < math.inf:
+            if t < self.clock.now:
+                raise SimulationError(f"cannot schedule at {t} before now={self.clock.now}")
+            raise SimulationError(f"event time must be finite, got {t}")
         self._seq += 1
-        heapq.heappush(self._queue, (t, self._seq, action))
+        self._bucket(t).append(action)
         return self._seq
 
+    def _bucket(self, t: float) -> list[Callable[[], None]]:
+        """The actions queued at t, opening a bucket if t has none yet."""
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            bucket = self._buckets[t] = []
+            heapq.heappush(self._queue, t)
+        return bucket
+
     def run_until(self, t: float) -> int:
-        """Process every event with time <= t in (time, seq) order."""
-        if t < self.clock.now:
+        """Process every event with time <= t in (time, seq) order.
+
+        Returns the number processed.  An action that raises is consumed,
+        the clock stays at its time, and the error propagates; the events
+        after it stay queued for the next call, and the call adds nothing
+        to ``events_processed``.  An action may schedule, but not run, the
+        queue.
+        """
+        if not t >= self.clock.now:
             raise SimulationError(f"time regression: {t} < {self.clock.now}")
+        if self._running:
+            raise SimulationError("run_until called from inside an event")
+        queue, buckets, clock = self._queue, self._buckets, self.clock
         processed = 0
-        while self._queue and self._queue[0][0] <= t:
-            when, _, action = heapq.heappop(self._queue)
-            self.clock.now = when
-            action()
-            processed += 1
-        self.clock.now = t
+        self._running = True
+        try:
+            while queue and queue[0] <= t:
+                when = clock.now = queue[0]
+                bucket = buckets[when]
+                done = 0
+                try:
+                    # the list iterator also yields actions appended while it runs
+                    for done, action in enumerate(bucket, 1):
+                        action()
+                except BaseException:
+                    del bucket[:done]
+                    if not bucket:
+                        heapq.heappop(queue)
+                        del buckets[when]
+                    raise
+                heapq.heappop(queue)
+                del buckets[when]
+                processed += done
+        finally:
+            self._running = False
+        clock.now = t
         self.events_processed += processed
         return processed
 
@@ -311,16 +349,18 @@ class Simulation:
         t = self.clock.now if t is None else t
         if prefix in router.originated:
             raise SimulationError(f"{rid} already originates {prefix}")
+        seq = self.schedule(t, partial(self._apply_originate, router, prefix))
         router.originated.add(prefix)
-        return self.schedule(t, lambda: self._apply_originate(router, prefix))
+        return seq
 
     def withdraw_prefix(self, rid: RouterId, prefix: Prefix, t: Optional[float] = None) -> int:
         router = self._router(rid)
         t = self.clock.now if t is None else t
         if prefix not in router.originated:
             raise SimulationError(f"{rid} does not originate {prefix}")
+        seq = self.schedule(t, partial(self._apply_withdraw, router, prefix))
         router.originated.discard(prefix)
-        return self.schedule(t, lambda: self._apply_withdraw(router, prefix))
+        return seq
 
     def install_inbound_filter(self, rid: RouterId, rule: FilterRule) -> FilterRule:
         """Activate an inbound filter immediately; purge matching routes."""
@@ -346,29 +386,34 @@ class Simulation:
         its sender as next hop: tables are keyed by sender, so no route
         object then sits twice in one table, and exactly one row is best.
         """
-        router = self._router(rid)
+        router = self.routers.get(rid) or self._router(rid)
         assert msg.delivery_time == self.clock.now, "update delivered off-schedule"
+        sender, prefix = msg.sender, msg.prefix
         if msg.kind == WITHDRAW:
-            table = router.rib.get(msg.prefix, {})
-            if msg.sender in table:
-                del table[msg.sender]
-                return ("withdrawn", self._after_table_change(router, msg.prefix))
+            table = router.rib.get(prefix)
+            if table is not None and sender in table:
+                del table[sender]
+                return ("withdrawn", self._after_table_change(router, prefix))
             return ("no-op", None)
         route = msg.route
-        if route.next_hop != msg.sender:
-            raise SimulationError(f"announce from {msg.sender} names next hop "
+        if route.next_hop != sender:
+            raise SimulationError(f"announce from {sender} names next hop "
                                   f"{route.next_hop}")
-        if router.asn in route.as_path:
-            log.debug("%s drops %s: own ASN in path %s", rid, msg.prefix, route.as_path)
+        path = route.as_path
+        if router.asn in path:
+            log.debug("%s drops %s: own ASN in path %s", rid, prefix, path)
             return ("dropped-loop", None)
-        if router.blocks(msg.sender, route.origin):
-            log.debug("%s drops %s from %s: inbound filter", rid, msg.prefix, msg.sender)
+        if router.filters and (sender, path[-1]) in router.filters:
+            log.debug("%s drops %s from %s: inbound filter", rid, prefix, sender)
             return ("dropped-filter", None)
-        local_pref = router.local_pref_in.get(msg.sender, route.local_pref)
+        local_pref = router.local_pref_in.get(sender, route.local_pref)
         if local_pref != route.local_pref:
             route = replace(route, local_pref=local_pref)
-        router.rib.setdefault(msg.prefix, {})[msg.sender] = route
-        return ("installed", self._after_table_change(router, msg.prefix))
+        table = router.rib.get(prefix)
+        if table is None:
+            table = router.rib[prefix] = {}
+        table[sender] = route
+        return ("installed", self._after_table_change(router, prefix))
 
     def snapshot_table(self, rid: RouterId) -> list[dict]:
         """Stable-ordered, read-only copy of a router's table rows."""
@@ -403,28 +448,41 @@ class Simulation:
         self._after_table_change(router, prefix)
 
     def _after_table_change(self, router: Router, prefix: Prefix):
-        change = router.reselect(prefix)
-        if change is None:
+        """Re-run selection over the router's valid routes for one prefix.
+
+        On a change of best, queues the re-advertisement, tells the
+        ``on_best_change`` listeners and returns (old, new); else None.
+        """
+        old = router.best.get(prefix)
+        table = router.rib.get(prefix) or {}
+        new = select_best([r for r in table.values() if r.is_valid])
+        if new is None:
+            router.best.pop(prefix, None)
+            if not table:
+                router.rib.pop(prefix, None)
+        else:
+            router.best[prefix] = new
+        if new is old or new == old:
             return None
-        old, new = change
         router.pending.add(prefix)
         self._schedule_flush(router)
         for callback in self.on_best_change:
             callback(router.rid, prefix, old, new)
-        return change
+        return (old, new)
 
     def _schedule_flush(self, router: Router):
         boundary = self.clock.next_boundary(self.clock.now)
         if router._scheduled_boundary is not None and router._scheduled_boundary >= boundary:
             return
         router._scheduled_boundary = boundary
-        self.schedule(boundary, lambda: self._flush(router))
+        self.schedule(boundary, partial(self._flush, router))
 
     def _flush(self, router: Router):
         router._scheduled_boundary = None
         pending, router.pending = sorted(router.pending), set()
         neighbors = sorted(router.neighbors.items())
         sender, now = router.rid, self.clock.now
+        deliver, bucket_at = self.process_update, self._bucket
         for prefix in pending:
             best = router.best.get(prefix)
             if best is None:
@@ -435,17 +493,18 @@ class Simulation:
                 advert = _unchecked_route(
                     prefix, sender, path, DEFAULT_LOCAL_PREF, best.med, 0,
                     best.metric, True,
-                    route_rank(0, DEFAULT_LOCAL_PREF, path, best.med, sender))
-            # one message per link delay: it names no receiver
-            by_delay: dict[float, UpdateMessage] = {}
+                    _ADVERT_RANK_HEAD + (len(path), best.med, sender, path))
+            # one message per link delay, since it names no receiver; each
+            # delivery is queued as schedule() would queue it
+            by_delay: dict[float, tuple[UpdateMessage, list]] = {}
             for neighbor, delay in neighbors:
-                msg = by_delay.get(delay)
-                if msg is None:
-                    msg = by_delay[delay] = UpdateMessage(kind, sender, prefix,
-                                                          now + delay, advert)
-                self.schedule(msg.delivery_time,
-                              lambda receiver=neighbor, msg=msg:
-                              self.process_update(receiver, msg))
+                entry = by_delay.get(delay)
+                if entry is None:
+                    msg = UpdateMessage(kind, sender, prefix, now + delay, advert)
+                    entry = by_delay[delay] = (msg, bucket_at(msg.delivery_time))
+                msg, bucket = entry
+                bucket.append(partial(deliver, neighbor, msg))
+            self._seq += len(neighbors)
 
 
 # -- external interfaces ----------------------------------------------------
@@ -490,8 +549,9 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
          "peering": [{"router": "64512.0", "neighbor": "64513.1",
                       "local_pref": 200}, ...]}   # optional
 
-    Router ids in "links"/"peering" refer to the integer "id" field;
-    the full wire form ``asn.index`` is also accepted.  An "id" or "asn"
+    Router ids in "links"/"peering" refer to the integer "id" field, so
+    a router written ``"id": "007"`` is named ``7``; the full wire form
+    ``asn.index`` is also accepted.  An "id" or "asn"
     that is a bool or a non-integral number, and a second link between
     the same two routers in either orientation, are refused.  Raises
     SimulationError naming the first bad entry, e.g. ``links[2]``.
@@ -507,7 +567,7 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
             rid = RouterId(check_asn(_integer(entry["asn"], "asn")),
                            _integer(entry["id"], "id"))
             sim.add_router(rid)
-            by_label[str(entry["id"])] = rid
+            by_label[str(rid.index)] = rid
             by_label[str(rid)] = rid
 
     def resolve(label) -> RouterId:
@@ -566,16 +626,19 @@ def apply_event_script(sim: Simulation, events: Iterable[dict]):
                 raise SimulationError(f"unknown script op: {op}")
             args = event.get("args", {})
             rid = RouterId.parse(args["router"])
+            router = sim._router(rid)
             if op == "install_filter":
                 rule = FilterRule(neighbor=RouterId.parse(args["neighbor"]),
                                   deny_origin=check_asn(int(args["deny_origin"])),
                                   deny_prefix=Prefix.parse(args["deny_prefix"]))
+                if rule.neighbor not in router.neighbors:
+                    raise SimulationError(f"{rule.neighbor} is not adjacent to {rid}")
                 plan.append(partial(sim.schedule, t,
                                     partial(sim.install_inbound_filter, rid, rule)))
                 continue
             prefix = Prefix.parse(args["prefix"])
             if rid not in originated:
-                originated[rid] = set(sim._router(rid).originated)
+                originated[rid] = set(router.originated)
             held = originated[rid]
             if op == "originate":
                 if prefix in held:

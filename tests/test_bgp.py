@@ -1,6 +1,9 @@
 import dataclasses
+import heapq
 import json
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +289,106 @@ def test_run_until_now_processes_nothing():
     assert sim.run_until(sim.clock.now) == 0
     with pytest.raises(SimulationError):
         sim.run_until(-1.0)
+    with pytest.raises(SimulationError):
+        sim.run_until(math.nan)
+
+
+class HeapQueue:
+    """The reference queue: one heap of (time, seq, action) entries."""
+
+    def __init__(self):
+        self.clock = SimpleNamespace(now=0.0)
+        self.heap = []
+        self.seq = 0
+        self.events_processed = 0
+
+    def schedule(self, t, action):
+        self.seq += 1
+        heapq.heappush(self.heap, (t, self.seq, action))
+        return self.seq
+
+    def run_until(self, t):
+        processed = 0
+        while self.heap and self.heap[0][0] <= t:
+            when, _, action = heapq.heappop(self.heap)
+            self.clock.now = when
+            action()
+            processed += 1
+        self.clock.now = t
+        self.events_processed += processed
+        return processed
+
+
+class Boom(Exception):
+    pass
+
+
+# an action: (raises, children), each child (delay from now, action)
+queue_actions = st.recursive(
+    st.tuples(st.sampled_from([False, False, False, True]), st.just(())),
+    lambda inner: st.tuples(
+        st.sampled_from([False, False, False, True]),
+        st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0]), inner),
+                 max_size=3).map(tuple)),
+    max_leaves=6)
+
+
+def drive_queue(queue, roots, cuts):
+    """Schedule the roots, run to each cut and then to the end; log it all."""
+    log = []
+
+    def make(label, spec):
+        raises, children = spec
+
+        def action():
+            log.append(("ran", label, queue.clock.now))
+            for k, (delay, child) in enumerate(children):
+                seq = queue.schedule(queue.clock.now + delay, make(f"{label}.{k}", child))
+                log.append(("seq", f"{label}.{k}", seq))
+            if raises:
+                raise Boom(label)
+        return action
+
+    def run(t):
+        try:
+            log.append(("returned", queue.run_until(t)))
+            return True
+        except Boom as exc:
+            log.append(("raised", str(exc), queue.clock.now))
+            return False
+        finally:
+            log.append(("processed", queue.events_processed))
+
+    for i, (t, spec) in enumerate(roots):
+        log.append(("seq", str(i), queue.schedule(t, make(str(i), spec))))
+    for cut in sorted(cuts):
+        run(cut)
+    for _ in range(1000):   # after a raise, the next call runs the rest
+        if run(100.0):
+            break
+    return log
+
+
+@settings(derandomize=True, deadline=None)
+@given(roots=st.lists(st.tuples(st.sampled_from([0.0, 1.0, 1.5, 3.0]), queue_actions),
+                      max_size=12),
+       cuts=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]), max_size=6))
+def test_queue_runs_events_in_time_then_schedule_order(roots, cuts):
+    """Same-time events, appends to the running time and raising actions
+    all keep the order, returns and counts of one (time, seq) heap."""
+    sim = Simulation()
+    log = drive_queue(sim, roots, cuts)
+    assert log == drive_queue(HeapQueue(), roots, cuts)
+    assert sim._queue == [] and sim._buckets == {}
+
+
+def test_run_until_from_inside_an_event_is_refused():
+    sim = line(A, B)
+    sim.schedule(1.0, lambda: sim.run_until(2.0))
+    with pytest.raises(SimulationError, match="inside an event"):
+        sim.run_until(5.0)
+    assert sim.clock.now == 1.0
+    assert sim.run_until(5.0) == 0
 
 
 def test_propagation_one_interval_per_hop():
@@ -309,6 +412,42 @@ def test_duplicate_origination_rejected():
     sim.originate_prefix(A, P1, 0.0)
     with pytest.raises(SimulationError):
         sim.originate_prefix(A, P1, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_time_is_refused_and_later_events_still_run(t):
+    sim = line(A, B)
+    with pytest.raises(SimulationError, match="event time must be finite"):
+        sim.originate_prefix(A, P1, t)
+    with pytest.raises(SimulationError, match="event time must be finite"):
+        sim.schedule(t, lambda: None)
+    sim.originate_prefix(B, P2, 1.0)
+    assert sim.run_until(100.0) == 5   # originate, then a flush and a delivery each way
+    assert best_row(sim, A, P2)["next_hop"] == B
+    assert not sim.routers[A].originated
+
+
+def test_refused_originate_time_records_nothing():
+    sim = line(A, B)
+    sim.run_until(5.0)
+    with pytest.raises(SimulationError, match="before now"):
+        sim.originate_prefix(A, P1, 1.0)
+    assert not sim.routers[A].originated
+    sim.originate_prefix(A, P1, 6.0)   # the corrected retry
+    sim.run_until(40.0)
+    assert best_row(sim, B, P1)["next_hop"] == A
+
+
+def test_refused_withdraw_time_records_nothing():
+    sim = line(A, B)
+    sim.originate_prefix(A, P1, 0.0)
+    sim.run_until(40.0)
+    with pytest.raises(SimulationError, match="before now"):
+        sim.withdraw_prefix(A, P1, 1.0)
+    assert sim.routers[A].originated == {P1}
+    sim.withdraw_prefix(A, P1, 41.0)   # the corrected retry
+    sim.run_until(100.0)
+    assert sim.snapshot_table(B) == []
 
 
 def test_withdraw_requires_current_origination():
@@ -685,6 +824,9 @@ def test_load_topology_and_script_roundtrip():
 
 ORIGINATE = {"t": 0.0, "op": "originate",
              "args": {"router": "10.0", "prefix": "10.0.0.0/24"}}
+FILTER = {"t": 1.0, "op": "install_filter",
+          "args": {"router": "20.1", "neighbor": "10.0",
+                   "deny_origin": 99, "deny_prefix": "10.0.0.0/24"}}
 
 
 @pytest.mark.parametrize("doc,events,message", [
@@ -725,13 +867,21 @@ ORIGINATE = {"t": 0.0, "op": "originate",
     (TOPOLOGY_DOC, [dict(ORIGINATE, op="withdraw")],
      "events[0]: 10.0 does not originate 10.0.0.0/24"),
     (TOPOLOGY_DOC, [dict(ORIGINATE, t=-1.0)], "events[0]: cannot schedule at -1.0"),
+    (TOPOLOGY_DOC, [ORIGINATE, dict(FILTER, args=dict(FILTER["args"], router="99.9"))],
+     "events[1]: unknown router 99.9"),
+    (TOPOLOGY_DOC,
+     [dict(FILTER, args=dict(FILTER["args"], router="10.0", neighbor="30.2"))],
+     "events[0]: 30.2 is not adjacent to 10.0"),
+    (TOPOLOGY_DOC, [dict(FILTER, args=dict(FILTER["args"], neighbor="99.9"))],
+     "events[0]: 99.9 is not adjacent to 20.1"),
 ], ids=["empty", "routers-not-list", "router-not-object", "router-lacks-asn",
         "router-id-not-numeric", "duplicate-router", "link-unknown-router",
         "link-delay-nan", "peering-lacks-local-pref", "event-lacks-t", "event-t-nan",
         "event-unknown-op", "event-lacks-prefix", "event-bad-prefix",
         "router-id-fraction", "router-asn-fraction", "router-id-bool", "router-asn-bool",
         "duplicate-link-reversed", "duplicate-link", "event-originates-twice",
-        "event-withdraws-unoriginated", "event-in-the-past"])
+        "event-withdraws-unoriginated", "event-in-the-past", "filter-unknown-router",
+        "filter-neighbor-not-adjacent", "filter-unknown-neighbor"])
 def test_bad_topology_or_script_names_the_entry(doc, events, message):
     with pytest.raises(SimulationError) as excinfo:
         apply_event_script(load_topology(doc), events)
@@ -741,12 +891,15 @@ def test_bad_topology_or_script_names_the_entry(doc, events, message):
 @pytest.mark.parametrize("bad_entry,message", [
     ({"op": "withdraw", "args": ORIGINATE["args"]}, "events[1] lacks 't'"),
     (dict(ORIGINATE, t=3.0), "events[1]: 10.0 already originates"),
-], ids=["entry-lacks-t", "entry-originates-twice"])
+    (dict(FILTER, args=dict(FILTER["args"], router="99.9")),
+     "events[1]: unknown router 99.9"),
+    (dict(FILTER, args=dict(FILTER["args"], router="10.0", neighbor="30.2")),
+     "events[1]: 30.2 is not adjacent to 10.0"),
+], ids=["entry-lacks-t", "entry-originates-twice", "filter-unknown-router",
+        "filter-neighbor-not-adjacent"])
 def test_bad_script_schedules_nothing_and_a_corrected_retry_succeeds(bad_entry, message):
     sim = load_topology(TOPOLOGY_DOC)
-    filter_entry = {"t": 1.0, "op": "install_filter",
-                    "args": {"router": "20.1", "neighbor": "10.0",
-                             "deny_origin": 99, "deny_prefix": "10.0.0.0/24"}}
+    filter_entry = FILTER
     with pytest.raises(SimulationError) as excinfo:
         apply_event_script(sim, [ORIGINATE, bad_entry, filter_entry])
     assert str(excinfo.value).startswith(message)
@@ -759,6 +912,12 @@ def test_bad_script_schedules_nothing_and_a_corrected_retry_succeeds(bad_entry, 
     assert sim.routers[RouterId(20, 1)].filters
     sim.run_until(200.0)
     assert sim.snapshot_table(RouterId(20, 1)) == []
+
+
+def test_numeric_string_id_is_named_by_its_integer():
+    sim = load_topology({"routers": [{"id": "007", "asn": 10}, {"id": 1, "asn": 20}],
+                         "links": [{"a": 7, "b": 1}]})
+    assert sim.routers[RouterId(10, 7)].neighbors == {RouterId(20, 1): 0.1}
 
 
 @pytest.mark.parametrize("kind", ["single_path", "multi_path", "random"])
