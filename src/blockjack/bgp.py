@@ -1,7 +1,8 @@
 """Deterministic path-vector routing simulation.
 
 A single :class:`Simulation` owns a set of routers, the links between
-them, and one event queue ordered by ``(time, sequence)``.  Route
+them, and one event queue ordered by time, then by scheduling order
+among events at the same time.  Route
 advertisements are batched: a router that changes its best path queues
 the re-advertisement for the next advertisement-interval boundary
 instead of flushing per message, so ledger-side work can race the
@@ -9,10 +10,10 @@ routing plane the way it would against a real update interval.
 
 The queue is bucketed by time: a heap holds each distinct event time
 once, and a dict maps each time to a list of its actions in the order
-they were scheduled.  Sequence numbers only grow and a bucket holds one
-time, so draining the earliest bucket in list order, actions appended
-to it while it drains included, is exactly ``(time, sequence)`` order.
-A flush's deliveries at one link delay share a time, so the heap moves
+they were scheduled.  An action's position in its bucket is its place
+in that order, so draining the earliest bucket in list order, actions
+appended to it while it drains included, runs events in time order and,
+within one time, in the order they were scheduled.  A flush's deliveries at one link delay share a time, so the heap moves
 once per distinct time rather than once per event.  Actions are
 ``functools.partial`` objects, which are cheaper to build and to call
 than closures.
@@ -247,7 +248,6 @@ class Simulation:
         self.routers: dict[RouterId, Router] = {}
         self._queue: list[float] = []       # heap of the times in _buckets
         self._buckets: dict[float, list[Callable[[], None]]] = {}
-        self._seq = 0
         self._running = False
         self.events_processed = 0
         # callbacks (router_id, prefix, old_best, new_best)
@@ -279,19 +279,16 @@ class Simulation:
 
     # -- event queue -----------------------------------------------------
 
-    def schedule(self, t: float, action: Callable[[], None]) -> int:
+    def schedule(self, t: float, action: Callable[[], None]) -> None:
         """Queue action at time t, after everything already queued at t.
 
-        Returns the action's sequence number.  A time before now, NaN or
-        an infinity is refused.
+        A time before now, NaN or an infinity is refused.
         """
         if not self.clock.now <= t < math.inf:
             if t < self.clock.now:
                 raise SimulationError(f"cannot schedule at {t} before now={self.clock.now}")
             raise SimulationError(f"event time must be finite, got {t}")
-        self._seq += 1
         self._bucket(t).append(action)
-        return self._seq
 
     def _bucket(self, t: float) -> list[Callable[[], None]]:
         """The actions queued at t, opening a bucket if t has none yet."""
@@ -302,7 +299,7 @@ class Simulation:
         return bucket
 
     def run_until(self, t: float) -> int:
-        """Process every event with time <= t in (time, seq) order.
+        """Process every event with time <= t in time, then scheduling, order.
 
         Returns the number processed.  An action that raises is consumed,
         the clock stays at its time, and the error propagates; the events
@@ -343,24 +340,22 @@ class Simulation:
 
     # -- public routing operations ----------------------------------------
 
-    def originate_prefix(self, rid: RouterId, prefix: Prefix, t: Optional[float] = None) -> int:
+    def originate_prefix(self, rid: RouterId, prefix: Prefix, t: Optional[float] = None):
         """Originate a prefix at router rid at time t (default now)."""
         router = self._router(rid)
         t = self.clock.now if t is None else t
         if prefix in router.originated:
             raise SimulationError(f"{rid} already originates {prefix}")
-        seq = self.schedule(t, partial(self._apply_originate, router, prefix))
+        self.schedule(t, partial(self._apply_originate, router, prefix))
         router.originated.add(prefix)
-        return seq
 
-    def withdraw_prefix(self, rid: RouterId, prefix: Prefix, t: Optional[float] = None) -> int:
+    def withdraw_prefix(self, rid: RouterId, prefix: Prefix, t: Optional[float] = None):
         router = self._router(rid)
         t = self.clock.now if t is None else t
         if prefix not in router.originated:
             raise SimulationError(f"{rid} does not originate {prefix}")
-        seq = self.schedule(t, partial(self._apply_withdraw, router, prefix))
+        self.schedule(t, partial(self._apply_withdraw, router, prefix))
         router.originated.discard(prefix)
-        return seq
 
     def install_inbound_filter(self, rid: RouterId, rule: FilterRule) -> FilterRule:
         """Activate an inbound filter immediately; purge matching routes."""
@@ -504,7 +499,6 @@ class Simulation:
                     entry = by_delay[delay] = (msg, bucket_at(msg.delivery_time))
                 msg, bucket = entry
                 bucket.append(partial(deliver, neighbor, msg))
-            self._seq += len(neighbors)
 
 
 # -- external interfaces ----------------------------------------------------

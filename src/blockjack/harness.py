@@ -80,7 +80,6 @@ class AttackRecord:
     first_best_at: Optional[float] = None
     neutralized_at: Optional[float] = None
     paths_filtered: int = 0
-    appearances: int = 0
 
     @property
     def no_impact(self) -> bool:
@@ -117,16 +116,23 @@ class ScenarioMetrics:
     seed: int
     trial: int
     records: list[AttackRecord]
-    attack_count: int
     end_state_safe: bool
     collateral_ok: bool
-    needs_reseed: bool
-    regenerations: int = 0
     reports: list[str] = field(default_factory=list)
     ledger_dump: dict = field(default_factory=dict)
     topology_doc: dict = field(default_factory=dict)
     appearances: list[Appearance] = field(default_factory=list)
     filter_installs: list[tuple[float, FilterRule]] = field(default_factory=list)
+
+    @property
+    def attack_count(self) -> int:
+        """Adversarial valid-best episodes at the monitored router."""
+        return len(self.appearances)
+
+    @property
+    def needs_reseed(self) -> bool:
+        """No attack reached the monitored router, so the run shows nothing."""
+        return all(r.no_impact for r in self.records)
 
     @property
     def impactful(self) -> list[AttackRecord]:
@@ -159,10 +165,6 @@ class AttackMonitor:
     def watch(self, record: AttackRecord):
         self.records[record.prefix] = record
 
-    @property
-    def attack_count(self) -> int:
-        return sum(r.appearances for r in self.records.values())
-
     def on_filter(self, rule: FilterRule, at: float):
         self.filter_events.append((at, rule))
         self._filters_by_origin[rule.deny_origin] = \
@@ -186,7 +188,6 @@ class AttackMonitor:
         is_now = new is not None and new.origin == record.adversary
         if is_now:
             if not (was and old.next_hop == new.next_hop):
-                record.appearances += 1
                 self._close_live(prefix, now)
                 episode = Appearance(start=now, prefix=prefix,
                                      origin=record.adversary,
@@ -298,11 +299,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioMetrics:
         seed=cfg.seed,
         trial=cfg.trial,
         records=attacks,
-        attack_count=monitor.attack_count,
         end_state_safe=end_state_safe,
         collateral_ok=collateral_ok,
-        needs_reseed=all(a.no_impact for a in attacks),
-        regenerations=topo.regenerations,
         reports=[rep.to_json_line() for rep in dispatcher.reports],
         ledger_dump=ledger.dump(),
         topology_doc=topo.document(),

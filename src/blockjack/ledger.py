@@ -23,6 +23,7 @@ from typing import Optional
 from .types import RouterId, check_asn
 
 DOC_TYPE = "prefix-ownership"
+CA_NAME = "blockjack-ca"
 HASH_ALGORITHM = "sha256"
 GENESIS_PREV_HASH = "0" * 64
 
@@ -298,8 +299,7 @@ def estimate_authorization_cost(model: CostModel) -> float:
 class CertificateAuthority:
     """Issues and validates admin and router credentials."""
 
-    def __init__(self, name: str = "blockjack-ca"):
-        self.name = name
+    def __init__(self):
         self._issued: dict[str, Credential] = {}
         self._minted = 0
 
@@ -308,9 +308,9 @@ class CertificateAuthority:
             raise CredentialError(f"subject already enrolled: {subject}")
         self._minted += 1
         secret = hashlib.sha256(
-            f"{self.name}|{subject}|{self._minted}".encode()).hexdigest()
+            f"{CA_NAME}|{subject}|{self._minted}".encode()).hexdigest()
         cred = Credential(subject=subject, asn=asn, secret=secret,
-                          issued_by=self.name)
+                          issued_by=CA_NAME)
         self._issued[subject] = cred
         return cred
 
@@ -325,7 +325,7 @@ class CertificateAuthority:
     def is_valid(self, cred: Credential) -> bool:
         known = self._issued.get(cred.subject)
         return known is not None and known.secret == cred.secret \
-            and known.issued_by == self.name
+            and known.issued_by == CA_NAME
 
 
 @dataclass(frozen=True)
@@ -347,14 +347,18 @@ class VerifyResult:
 
 
 class ConsortiumMember:
-    """One consortium peer; endorses against its ledger's one world state."""
+    """One consortium peer; endorses against the consortium's one world state.
 
-    def __init__(self, member_id: str, ledger: "ConsortiumLedger"):
+    It holds that world state, not the ledger, so a finished ledger is
+    freed by reference counting.
+    """
+
+    def __init__(self, member_id: str, world_state: WorldState):
         self.member_id = member_id
-        self.ledger = ledger
+        self.world_state = world_state
 
     def endorse(self, tx: Transaction) -> bool:
-        return chaincode_evaluate(tx, self.ledger.world_state).approved
+        return chaincode_evaluate(tx, self.world_state).approved
 
 
 class ConsortiumLedger:
@@ -364,13 +368,12 @@ class ConsortiumLedger:
     submitters must queue in arrival order.
     """
 
-    def __init__(self, cost_model: CostModel = CALIBRATED_COST,
-                 ca: Optional[CertificateAuthority] = None):
+    def __init__(self, cost_model: CostModel = CALIBRATED_COST):
         self.cost_model = cost_model
-        self.ca = ca or CertificateAuthority()
-        self.members = [ConsortiumMember(f"member-{i}", self)
-                        for i in range(cost_model.member_count)]
+        self.ca = CertificateAuthority()
         self.world_state = WorldState()
+        self.members = [ConsortiumMember(f"member-{i}", self.world_state)
+                        for i in range(cost_model.member_count)]
         genesis = Block(index=0, prev_hash=GENESIS_PREV_HASH, transactions=[])
         self.blocks: list[Block] = [genesis.seal()]
         self.stats = {"credentialed_requests": 0, "commits": 0, "denials": 0,
@@ -522,8 +525,8 @@ class ConsortiumLedger:
         return "".join(out)
 
     @classmethod
-    def load(cls, doc: dict, cost_model: CostModel = CALIBRATED_COST,
-             ca: Optional[CertificateAuthority] = None) -> "ConsortiumLedger":
+    def load(cls, doc: dict,
+             cost_model: CostModel = CALIBRATED_COST) -> "ConsortiumLedger":
         """Rebuild a ledger by replaying a dump's blocks.
 
         Raises LedgerError for a dump of the wrong shape, a broken chain,
@@ -539,7 +542,7 @@ class ConsortiumLedger:
         if member_count != cost_model.member_count:
             raise LedgerError(f"dump has {member_count} members, "
                               f"cost model has {cost_model.member_count}")
-        ledger = cls(cost_model=cost_model, ca=ca)
+        ledger = cls(cost_model=cost_model)
         ledger.blocks = [_load_block(raw, i) for i, raw in enumerate(raw_blocks)]
         broken = ledger.verify_chain()
         if broken is not None:

@@ -1,8 +1,8 @@
 """Gateway between dispatchers and the ledger.
 
-The profiler keeps a profile per router and a wallet of credentials.
-Every request is authenticated against the claimed router's profile,
-equipped with that router's wallet credential, and forwarded to the
+The profiler keeps each enrolled router's credential, also saved in its
+wallet of credentials.  Every request is authenticated against the
+claimed router's credential, equipped with it, and forwarded to the
 matching ledger operation.  Ownership-changing actions must claim the
 caller's own ASN; verification may ask about any ASN.
 """
@@ -31,13 +31,6 @@ ACTIONS = (ACTION_ADD, ACTION_UPDATE, ACTION_VERIFY)
 
 class AuthenticationError(Exception):
     """Request rejected before it ever reaches the ledger."""
-
-
-@dataclass(frozen=True)
-class RouterProfile:
-    router_id: RouterId
-    asn: int
-    credential_ref: str
 
 
 @dataclass(frozen=True)
@@ -107,12 +100,16 @@ class Wallet:
 
 
 class Profiler:
-    """Authenticating gateway; stateless apart from profiles and wallet."""
+    """Authenticating gateway; stateless apart from profiles and wallet.
 
-    def __init__(self, ledger: ConsortiumLedger, wallet: Optional[Wallet] = None):
+    A router's profile is its credential: the credential's ``asn`` is the
+    AS the router may act for, and its ``subject`` is the wallet key.
+    """
+
+    def __init__(self, ledger: ConsortiumLedger):
         self.ledger = ledger
-        self.wallet = wallet or Wallet()
-        self.profiles: dict[RouterId, RouterProfile] = {}
+        self.wallet = Wallet()
+        self.profiles: dict[RouterId, Credential] = {}
         self.stats = {"forwarded": 0, "rejected": 0}
 
     def enroll_admin(self, name: str) -> Credential:
@@ -120,31 +117,30 @@ class Profiler:
         self.wallet.put(cred)
         return cred
 
-    def create_router_profile(self, router_id: RouterId, admin: Credential) -> RouterProfile:
+    def create_router_profile(self, router_id: RouterId, admin: Credential) -> Credential:
+        """Register the router with the ledger's CA; returns its credential."""
         if router_id in self.profiles:
             raise AuthenticationError(f"profile already exists for {router_id}")
         cred = self.ledger.register_router(router_id, admin)
         self.wallet.put(cred)
-        profile = RouterProfile(router_id=router_id, asn=router_id.asn,
-                                credential_ref=cred.subject)
-        self.profiles[router_id] = profile
-        return profile
+        self.profiles[router_id] = cred
+        return cred
 
     def authenticate_request(self, req: GatewayRequest) -> Credential:
         """Resolve the caller's credential, or refuse the request.
 
-        add/update must claim the profile's own ASN; verify may query
+        add/update must claim the credential's own ASN; verify may query
         any ASN (verification is cross-AS by design).
         """
-        profile = self.profiles.get(req.claimed_router)
-        if profile is None:
+        cred = self.profiles.get(req.claimed_router)
+        if cred is None:
             self.stats["rejected"] += 1
             raise AuthenticationError(f"unknown router {req.claimed_router}")
-        if req.action in (ACTION_ADD, ACTION_UPDATE) and req.asn != profile.asn:
+        if req.action in (ACTION_ADD, ACTION_UPDATE) and req.asn != cred.asn:
             self.stats["rejected"] += 1
             raise AuthenticationError(
                 f"{req.claimed_router} may not act for AS{req.asn}")
-        return self.wallet.get(profile.credential_ref)
+        return cred
 
     def handle_request(self, req: GatewayRequest,
                        now: float = 0.0) -> CommitResult | Denial | VerifyResult:

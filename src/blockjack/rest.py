@@ -150,9 +150,8 @@ class GatewayHTTPServer:
             rid = RouterId.parse(payload["router_id"])
             if rid.asn != int(payload["asn"]):
                 raise ValueError("router_id and asn fields disagree")
-            profile = profiler.create_router_profile(rid, admin)
-            return {"status": "ok", "router_id": str(profile.router_id),
-                    "asn": profile.asn}
+            cred = profiler.create_router_profile(rid, admin)
+            return {"status": "ok", "router_id": cred.subject, "asn": cred.asn}
         if path == "/prefix":
             req = GatewayRequest.from_payload(ACTION_ADD, payload)
             return result_payload(profiler.handle_request(req))

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from .types import RouterId
 
 ASN_BASE = 64512
+# Connected draws tried per random topology before giving up.
+MAX_ATTEMPTS = 64
 
 SINGLE_PATH = "single_path"
 MULTI_PATH = "multi_path"
@@ -36,7 +38,6 @@ class ScenarioTopology:
     dispatcher: RouterId
     victims: list[RouterId]
     adversaries: list[RouterId]
-    regenerations: int = 0
 
     def document(self) -> dict:
         return {
@@ -132,17 +133,17 @@ def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
 
 
 def random_topology(n: int, connectivity: float, attacks: int, seed: int,
-                    delay: float, max_attempts: int = 64) -> ScenarioTopology:
+                    delay: float) -> ScenarioTopology:
     """Edge-probability random graph, regenerated until connected.
 
     Each retry draws from a derived seed (seed, attempt) so the whole
-    construction stays reproducible; the attempt count is reported.
+    construction stays reproducible.
     """
     if n < 3:
         raise TopologyError(f"need at least 3 routers, got {n}")
     if not 0.0 < connectivity <= 1.0:
         raise TopologyError(f"connectivity must be in (0, 1]: {connectivity}")
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = random.Random(f"topology:{seed}:{attempt}")
         edges = {(a, b) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < connectivity}
@@ -161,8 +162,7 @@ def random_topology(n: int, connectivity: float, attacks: int, seed: int,
                 links=[(rids[a], rids[b], delay) for a, b in sorted(edges)],
                 dispatcher=rids[dispatcher],
                 victims=[rids[i] for i in victims],
-                adversaries=[rids[i] for i in adversaries],
-                regenerations=attempt)
+                adversaries=[rids[i] for i in adversaries])
     raise TopologyError(
         f"could not draw a connected graph (n={n}, connectivity={connectivity})")
 

@@ -305,7 +305,6 @@ class HeapQueue:
     def schedule(self, t, action):
         self.seq += 1
         heapq.heappush(self.heap, (t, self.seq, action))
-        return self.seq
 
     def run_until(self, t):
         processed = 0
@@ -343,8 +342,7 @@ def drive_queue(queue, roots, cuts):
         def action():
             log.append(("ran", label, queue.clock.now))
             for k, (delay, child) in enumerate(children):
-                seq = queue.schedule(queue.clock.now + delay, make(f"{label}.{k}", child))
-                log.append(("seq", f"{label}.{k}", seq))
+                queue.schedule(queue.clock.now + delay, make(f"{label}.{k}", child))
             if raises:
                 raise Boom(label)
         return action
@@ -360,7 +358,7 @@ def drive_queue(queue, roots, cuts):
             log.append(("processed", queue.events_processed))
 
     for i, (t, spec) in enumerate(roots):
-        log.append(("seq", str(i), queue.schedule(t, make(str(i), spec))))
+        queue.schedule(t, make(str(i), spec))
     for cut in sorted(cuts):
         run(cut)
     for _ in range(1000):   # after a raise, the next call runs the rest

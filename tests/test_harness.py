@@ -101,6 +101,27 @@ def test_finished_scenario_is_freed_without_the_cyclic_collector(monkeypatch):
         gc.enable()
 
 
+def test_finished_ledgers_are_freed_without_the_cyclic_collector(monkeypatch):
+    # members that held their ledger kept every finished ledger, with all
+    # its blocks, alive until a full collection
+    built = []
+
+    class WatchedLedger(ConsortiumLedger):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(harness, "ConsortiumLedger", WatchedLedger)
+    gc.disable()
+    try:
+        dump = run("single_path", routers=20, seed=1).ledger_dump
+        WatchedLedger.load(dump).verify_chain()
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
+    finally:
+        gc.enable()
+
+
 # -- single-path runs ----------------------------------------------------------
 
 
