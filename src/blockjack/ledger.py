@@ -323,9 +323,12 @@ class CertificateAuthority:
         return self._mint(str(router_id), router_id.asn)
 
     def is_valid(self, cred: Credential) -> bool:
-        known = self._issued.get(cred.subject)
-        return known is not None and known.secret == cred.secret \
-            and known.issued_by == CA_NAME
+        """True only for a credential equal, field for field, to one issued.
+
+        The ASN is compared too: a router that relabels its credential
+        with another AS's number is refused, not let act for that AS.
+        """
+        return self._issued.get(cred.subject) == cred
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,22 @@ def test_router_credential_carries_asn():
     assert admin.asn is None
 
 
+@pytest.mark.parametrize("write", ["register", "update_status"])
+def test_credential_presented_under_another_asn_is_refused(write):
+    """A router may not relabel its own credential to act as another AS."""
+    ledger, _, r10, r99 = make_ledger()
+    ledger.submit_authorization("10.9.0.0/16", 99, r99)
+    spoofed = replace(r10, asn=99)
+    with pytest.raises(CredentialError):
+        if write == "register":
+            ledger.submit_authorization("10.8.0.0/16", 99, spoofed)
+        else:
+            ledger.submit_status_update("10.9.0.0/16", 99, False, spoofed)
+    assert ledger.world_state.to_dict() == {
+        "10.9.0.0/16": LedgerRecord("10.9.0.0/16", 99).to_dict()}
+    assert ledger.chain_length == 2
+
+
 # -- chaincode ------------------------------------------------------------
 
 
