@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .types import Prefix, RouterId, check_asn
 
@@ -305,10 +305,13 @@ class Simulation:
         the clock stays at its time, and the error propagates; the events
         after it stay queued for the next call, and the call adds nothing
         to ``events_processed``.  An action may schedule, but not run, the
-        queue.
+        queue.  An end time before now, NaN or an infinity is refused: the
+        clock would stop there, and nothing could be scheduled after it.
         """
-        if not t >= self.clock.now:
-            raise SimulationError(f"time regression: {t} < {self.clock.now}")
+        if not self.clock.now <= t < math.inf:
+            if t < self.clock.now:
+                raise SimulationError(f"time regression: {t} < {self.clock.now}")
+            raise SimulationError(f"end time must be finite, got {t}")
         if self._running:
             raise SimulationError("run_until called from inside an event")
         queue, buckets, clock = self._queue, self._buckets, self.clock
@@ -515,7 +518,7 @@ def _naming(what: str):
         yield
     except KeyError as exc:
         raise SimulationError(f"{what} lacks {exc.args[0]!r}") from None
-    except (SimulationError, TypeError, ValueError) as exc:
+    except (SimulationError, TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"{what}: {exc}") from exc
 
 
@@ -545,10 +548,12 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
 
     Router ids in "links"/"peering" refer to the integer "id" field, so
     a router written ``"id": "007"`` is named ``7``; the full wire form
-    ``asn.index`` is also accepted.  An "id" or "asn"
-    that is a bool or a non-integral number, and a second link between
-    the same two routers in either orientation, are refused.  Raises
-    SimulationError naming the first bad entry, e.g. ``links[2]``.
+    ``asn.index`` is also accepted, and is required for an index that
+    more than one router has.  An "id", "asn" or "local_pref" that is a
+    bool or a non-integral number, a second link between the same two
+    routers in either orientation, and a peering between routers that
+    are not linked are refused.  Raises SimulationError naming the first
+    bad entry, e.g. ``links[2]``.
     """
     with _naming("topology"):
         routers = _list_of(doc["routers"], "routers")
@@ -556,11 +561,14 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
         peering = _list_of(doc.get("peering") or [], "peering")
     sim = Simulation(mari=mari)
     by_label: dict[str, RouterId] = {}
+    shared: set[str] = set()   # bare indexes that more than one router has
     for i, entry in enumerate(routers):
         with _naming(f"routers[{i}]"):
             rid = RouterId(check_asn(_integer(entry["asn"], "asn")),
                            _integer(entry["id"], "id"))
             sim.add_router(rid)
+            if str(rid.index) in by_label:
+                shared.add(str(rid.index))
             by_label[str(rid.index)] = rid
             by_label[str(rid)] = rid
 
@@ -568,6 +576,10 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
         key = str(label)
         if key not in by_label:
             raise SimulationError(f"unknown router reference {label!r}")
+        if key in shared:
+            names = " and ".join(str(rid) for rid in sim.routers if str(rid.index) == key)
+            raise SimulationError(f"ambiguous router reference {label!r}: {names} "
+                                  f"share that index; write it as asn.index")
         return by_label[key]
 
     for i, link in enumerate(links):
@@ -578,8 +590,11 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
             sim.add_link(a, b, float(link.get("delay_s", DEFAULT_LINK_DELAY)))
     for i, override in enumerate(peering):
         with _naming(f"peering[{i}]"):
-            router = sim._router(resolve(override["router"]))
-            router.local_pref_in[resolve(override["neighbor"])] = int(override["local_pref"])
+            router = sim.routers[resolve(override["router"])]
+            neighbor = resolve(override["neighbor"])
+            if neighbor not in router.neighbors:
+                raise SimulationError(f"{neighbor} is not adjacent to {router.rid}")
+            router.local_pref_in[neighbor] = _integer(override["local_pref"], "local_pref")
     return sim
 
 
@@ -598,7 +613,7 @@ def dump_topology(sim: Simulation) -> dict:
     return {"routers": routers, "links": links}
 
 
-def apply_event_script(sim: Simulation, events: Iterable[dict]):
+def apply_event_script(sim: Simulation, events: list):
     """Schedule a JSON event script: a list of {t, op, args} entries.
 
     Supported ops: originate, withdraw, install_filter.  Every entry is
@@ -606,6 +621,8 @@ def apply_event_script(sim: Simulation, events: Iterable[dict]):
     before any is scheduled: a bad entry raises SimulationError naming
     it, e.g. ``events[3]``, and leaves the simulation as it was.
     """
+    with _naming("script"):
+        events = _list_of(events, "events")
     plan = []
     originated: dict[RouterId, set[Prefix]] = {}   # as the script leaves them
     for i, event in enumerate(events):

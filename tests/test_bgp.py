@@ -293,6 +293,19 @@ def test_run_until_now_processes_nothing():
         sim.run_until(math.nan)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
+def test_run_until_refuses_a_non_finite_end_and_the_run_goes_on(t):
+    sim = line(A, B)
+    sim.originate_prefix(A, P1, 0.0)
+    with pytest.raises(SimulationError, match="end time must be finite"):
+        sim.run_until(t)
+    assert sim.clock.now == 0.0
+    sim.originate_prefix(B, P2, 1.0)
+    # two originations, then two rounds of a flush and a delivery each way
+    assert sim.run_until(100.0) == 10
+    assert best_row(sim, A, P2)["next_hop"] == B
+
+
 class HeapQueue:
     """The reference queue: one heap of (time, seq, action) entries."""
 
@@ -820,6 +833,10 @@ def test_load_topology_and_script_roundtrip():
     assert json.dumps(doc, sort_keys=True)  # JSON-serializable
 
 
+# two routers share index 0, so a bare 0 names neither
+SHARED_INDEX_DOC = {"routers": [{"id": 0, "asn": 10}, {"id": 0, "asn": 20},
+                                {"id": 1, "asn": 30}],
+                    "links": [{"a": 0, "b": 1}]}
 ORIGINATE = {"t": 0.0, "op": "originate",
              "args": {"router": "10.0", "prefix": "10.0.0.0/24"}}
 FILTER = {"t": 1.0, "op": "install_filter",
@@ -872,6 +889,27 @@ FILTER = {"t": 1.0, "op": "install_filter",
      "events[0]: 30.2 is not adjacent to 10.0"),
     (TOPOLOGY_DOC, [dict(FILTER, args=dict(FILTER["args"], neighbor="99.9"))],
      "events[0]: 99.9 is not adjacent to 20.1"),
+    (SHARED_INDEX_DOC, [], "links[0]: ambiguous router reference 0: 10.0 and 20.0 share"),
+    (dict(SHARED_INDEX_DOC, links=[{"a": "10.0", "b": 1}],
+          peering=[{"router": 1, "neighbor": 0, "local_pref": 200}]), [],
+     "peering[0]: ambiguous router reference 0: 10.0 and 20.0 share"),
+    (dict(TOPOLOGY_DOC, peering=[{"router": "30.2", "neighbor": "20.1",
+                                  "local_pref": 200.7}]), [],
+     "peering[0]: local_pref must be an integer, got 200.7"),
+    (dict(TOPOLOGY_DOC, peering=[{"router": "30.2", "neighbor": "20.1",
+                                  "local_pref": True}]), [],
+     "peering[0]: local_pref must be an integer, got True"),
+    (dict(TOPOLOGY_DOC, peering=[{"router": "30.2", "neighbor": "10.0",
+                                  "local_pref": 200}]), [],
+     "peering[0]: 10.0 is not adjacent to 30.2"),
+    (TOPOLOGY_DOC, None, "script: 'events' is not a list"),
+    (TOPOLOGY_DOC, 5, "script: 'events' is not a list"),
+    (TOPOLOGY_DOC, {}, "script: 'events' is not a list"),
+    (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 1, "delay_s": 10**400}]), [],
+     "links[0]: int too large to convert to float"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, t=10**400)], "events[0]: int too large"),
+    (TOPOLOGY_DOC, [dict(FILTER, args=dict(FILTER["args"], deny_origin=math.inf))],
+     "events[0]: cannot convert float infinity to integer"),
 ], ids=["empty", "routers-not-list", "router-not-object", "router-lacks-asn",
         "router-id-not-numeric", "duplicate-router", "link-unknown-router",
         "link-delay-nan", "peering-lacks-local-pref", "event-lacks-t", "event-t-nan",
@@ -879,7 +917,10 @@ FILTER = {"t": 1.0, "op": "install_filter",
         "router-id-fraction", "router-asn-fraction", "router-id-bool", "router-asn-bool",
         "duplicate-link-reversed", "duplicate-link", "event-originates-twice",
         "event-withdraws-unoriginated", "event-in-the-past", "filter-unknown-router",
-        "filter-neighbor-not-adjacent", "filter-unknown-neighbor"])
+        "filter-neighbor-not-adjacent", "filter-unknown-neighbor", "link-ambiguous-index",
+        "peering-ambiguous-index", "peering-local-pref-fraction", "peering-local-pref-bool",
+        "peering-not-adjacent", "script-none", "script-number", "script-object",
+        "link-delay-huge", "event-t-huge", "filter-deny-origin-inf"])
 def test_bad_topology_or_script_names_the_entry(doc, events, message):
     with pytest.raises(SimulationError) as excinfo:
         apply_event_script(load_topology(doc), events)
@@ -910,6 +951,111 @@ def test_bad_script_schedules_nothing_and_a_corrected_retry_succeeds(bad_entry, 
     assert sim.routers[RouterId(20, 1)].filters
     sim.run_until(200.0)
     assert sim.snapshot_table(RouterId(20, 1)) == []
+
+
+# Loader fuzzing: a valid topology or script with a few random edits.  An
+# edit replaces a value anywhere in the document, or deletes it.  The new
+# value is one that breaks a conversion (a huge integer, NaN, an infinity),
+# a plausible one (a label, an ASN, an op), or any JSON value.
+FUZZ_DOC = {
+    "routers": [{"id": 0, "asn": 10}, {"id": 1, "asn": 20}, {"id": 2, "asn": 30},
+                {"id": 0, "asn": 40}],
+    "links": [{"a": "10.0", "b": 1, "delay_s": 0.1}, {"a": 1, "b": 2},
+              {"a": "40.0", "b": 2, "delay_s": 2}],
+    "peering": [{"router": 2, "neighbor": 1, "local_pref": 200}],
+}
+FUZZ_SCRIPT = [
+    {"t": 0, "op": "originate", "args": {"router": "10.0", "prefix": "10.0.0.0/24"}},
+    {"t": 0.5, "op": "originate", "args": {"router": "40.0", "prefix": "10.0.0.0/24"}},
+    {"t": 40, "op": "install_filter",
+     "args": {"router": "30.2", "neighbor": "40.0", "deny_origin": 40,
+              "deny_prefix": "10.0.0.0/24"}},
+    {"t": 90, "op": "withdraw", "args": {"router": "10.0", "prefix": "10.0.0.0/24"}},
+]
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_values = st.recursive(
+    json_scalars, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
+edit_values = st.one_of(
+    st.sampled_from([10**400, math.inf, -math.inf, math.nan]),
+    st.sampled_from([0, 1, "1", "007", 1.0, 40, 99, 200.7, True, -1.0, "10.0", "20.1",
+                     "40.0", "99.9", "172.16.0.0/20", "10.0.0/99", "withdraw",
+                     "install_filter", [], {}]),
+    json_scalars, json_values)
+
+
+def spots(value, path=()):
+    """The path of every value in a JSON document, the document's own included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from spots(item, path + (key,))
+
+
+@st.composite
+def edited(draw, base):
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.sampled_from([1, 0, 1, 2, 3]))):
+        path = draw(st.sampled_from(list(spots(doc))[::-1]))   # the whole document last
+        value = draw(edit_values)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(doc=edited(FUZZ_DOC))
+def test_load_topology_builds_or_refuses_any_json_document(doc):
+    """An accepted topology routes: the base script runs on it when its
+    routers and links are still there."""
+    try:
+        sim = load_topology(doc)
+    except SimulationError:
+        return
+    try:
+        apply_event_script(sim, FUZZ_SCRIPT)
+    except SimulationError:
+        pass
+    sim.run_until(200.0)
+
+
+def queue_state(sim):
+    return ({t: list(bucket) for t, bucket in sim._buckets.items()}, sorted(sim._queue),
+            {rid: set(router.originated) for rid, router in sim.routers.items()})
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(script=edited(FUZZ_SCRIPT))
+def test_event_script_schedules_all_or_nothing_for_any_json_script(script):
+    """A refused script leaves the queue and the origins as they were; an
+    accepted one runs to the end."""
+    sim = load_topology(FUZZ_DOC)
+    sim.originate_prefix(RouterId(20, 1), P2, 0.5)
+    before = queue_state(sim)
+    try:
+        apply_event_script(sim, script)
+    except SimulationError:
+        assert queue_state(sim) == before
+        return
+    sim.run_until(200.0)
+
+
+def test_shared_index_loads_when_entries_name_routers_in_full():
+    sim = load_topology(dict(SHARED_INDEX_DOC,
+                             links=[{"a": "10.0", "b": 1}, {"a": "20.0", "b": "30.1"}],
+                             peering=[{"router": "20.0", "neighbor": 1, "local_pref": 200}]))
+    assert sim.routers[RouterId(30, 1)].neighbors == {RouterId(10, 0): 0.1,
+                                                      RouterId(20, 0): 0.1}
+    assert sim.routers[RouterId(20, 0)].local_pref_in == {RouterId(30, 1): 200}
 
 
 def test_numeric_string_id_is_named_by_its_integer():

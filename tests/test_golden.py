@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from blockjack.bgp import apply_event_script, load_topology, snapshot_json
+from blockjack.cli import SCENARIO_NAMES, main
 from blockjack.harness import ScenarioConfig, metrics_csv, run_scenario, summarize
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -114,6 +115,27 @@ def check(name: str, outputs: dict[str, str]):
 def test_scenario_outputs_match_golden(kind, routers, seed):
     check(f"{kind}-{routers}-seed{seed}",
           scenario_outputs(kind=kind, routers=routers, seed=seed))
+
+
+# The option of `blockjack run` that writes each file of a scenario case.
+CLI_OPTIONS = {"metrics.csv": "--out", "summary.json": "--summary",
+               "ledger.json": "--dump-ledger", "reports.jsonl": "--reports-out",
+               "topology.json": "--topology-out"}
+
+
+@pytest.mark.parametrize("kind,routers,seed", MATRIX)
+def test_cli_writes_the_golden_files(kind, routers, seed, tmp_path):
+    """`blockjack run` writes, through its own writers, the golden bytes."""
+    scenario = {name: option for option, name in SCENARIO_NAMES.items()}[kind]
+    args = ["run", "--scenario", scenario, "--routers", str(routers),
+            "--seed", str(seed), "--quiet"]
+    for filename, option in CLI_OPTIONS.items():
+        args += [option, str(tmp_path / filename)]
+    assert main(args) == 0
+    case = GOLDEN / f"{kind}-{routers}-seed{seed}"
+    for filename in CLI_OPTIONS:
+        assert (tmp_path / filename).read_bytes() == (case / filename).read_bytes(), \
+            f"{case / filename} differs from the CLI's file"
 
 
 def test_delivery_on_tick_time_matches_golden():
