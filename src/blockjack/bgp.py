@@ -2,19 +2,20 @@
 
 A single :class:`Simulation` owns a set of routers, the links between
 them, and one event queue ordered by time, then by scheduling order
-among events at the same time.  Route
-advertisements are batched: a router that changes its best path queues
-the re-advertisement for the next advertisement-interval boundary
-instead of flushing per message, so ledger-side work can race the
-routing plane the way it would against a real update interval.
+among events at the same time.  Route advertisements are batched: a
+router that changes its best path queues the re-advertisement for the
+next advertisement-interval boundary instead of flushing per message,
+so ledger-side work can race the routing plane the way it would
+against a real update interval.
 
 The queue is bucketed by time: a heap holds each distinct event time
 once, and a dict maps each time to a list of its actions in the order
 they were scheduled.  An action's position in its bucket is its place
 in that order, so draining the earliest bucket in list order, actions
 appended to it while it drains included, runs events in time order and,
-within one time, in the order they were scheduled.  A flush's deliveries at one link delay share a time, so the heap moves
-once per distinct time rather than once per event.  Actions are
+within one time, in the order they were scheduled.  A flush's
+deliveries at one link delay share a time, so the heap moves once per
+distinct time rather than once per event.  Actions are
 ``functools.partial`` objects, which are cheaper to build and to call
 than closures.
 
@@ -343,7 +344,7 @@ class Simulation:
 
     # -- public routing operations ----------------------------------------
 
-    def originate_prefix(self, rid: RouterId, prefix: Prefix, t: Optional[float] = None):
+    def originate_prefix(self, rid: RouterId, prefix: Prefix, t: Optional[float] = None) -> None:
         """Originate a prefix at router rid at time t (default now)."""
         router = self._router(rid)
         t = self.clock.now if t is None else t
@@ -352,7 +353,7 @@ class Simulation:
         self.schedule(t, partial(self._apply_originate, router, prefix))
         router.originated.add(prefix)
 
-    def withdraw_prefix(self, rid: RouterId, prefix: Prefix, t: Optional[float] = None):
+    def withdraw_prefix(self, rid: RouterId, prefix: Prefix, t: Optional[float] = None) -> None:
         router = self._router(rid)
         t = self.clock.now if t is None else t
         if prefix not in router.originated:

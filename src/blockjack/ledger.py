@@ -323,11 +323,8 @@ class CertificateAuthority:
         return self._mint(str(router_id), router_id.asn)
 
     def is_valid(self, cred: Credential) -> bool:
-        """True only for a credential equal, field for field, to one issued.
-
-        The ASN is compared too: a router that relabels its credential
-        with another AS's number is refused, not let act for that AS.
-        """
+        """True only for the very credential issued to its subject, ASN
+        included, so a router cannot relabel its own to act for another AS."""
         return self._issued.get(cred.subject) == cred
 
 
