@@ -228,6 +228,8 @@ class Router:
         # per-neighbor local_pref override applied on import
         self.local_pref_in: dict[RouterId, int] = {}
         self._scheduled_boundary: Optional[float] = None
+        # snapshot rows of rib and best; None after any change to either
+        self._rows: Optional[list[dict]] = None
 
     def is_local(self, route: Route) -> bool:
         return route.next_hop == self.rid
@@ -415,23 +417,32 @@ class Simulation:
         return ("installed", self._after_table_change(router, prefix))
 
     def snapshot_table(self, rid: RouterId) -> list[dict]:
-        """Stable-ordered, read-only copy of a router's table rows."""
+        """Stable-ordered, read-only copy of a router's table rows.
+
+        The rows are built once per table change and kept on the router;
+        each call returns a new list of new dicts, so a caller may edit
+        what it gets.  A caller that edits ``Router.rib`` or
+        ``Router.best`` directly, instead of through the simulation's
+        operations, bypasses the cache and reads stale rows.
+        """
         router = self._router(rid)
-        rows = []
-        for prefix, table in sorted(router.rib.items()):
-            best = router.best.get(prefix)
-            for _, route in sorted(table.items()):
-                rows.append({
-                    "prefix": route.prefix,
-                    "next_hop": route.next_hop,
-                    "metric": route.metric,
-                    "local_pref": route.local_pref,
-                    "weight": route.weight,
-                    "as_path": route.as_path,
-                    "is_valid": route.is_valid,
-                    "is_best": route is best,
-                })
-        return rows
+        rows = router._rows
+        if rows is None:
+            rows = router._rows = []
+            for prefix, table in sorted(router.rib.items()):
+                best = router.best.get(prefix)
+                for _, route in sorted(table.items()):
+                    rows.append({
+                        "prefix": route.prefix,
+                        "next_hop": route.next_hop,
+                        "metric": route.metric,
+                        "local_pref": route.local_pref,
+                        "weight": route.weight,
+                        "as_path": route.as_path,
+                        "is_valid": route.is_valid,
+                        "is_best": route is best,
+                    })
+        return list(map(dict.copy, rows))
 
     # -- internals ---------------------------------------------------------
 
@@ -449,9 +460,12 @@ class Simulation:
     def _after_table_change(self, router: Router, prefix: Prefix):
         """Re-run selection over the router's valid routes for one prefix.
 
-        On a change of best, queues the re-advertisement, tells the
-        ``on_best_change`` listeners and returns (old, new); else None.
+        Every change to a router's ``rib`` or ``best`` ends here, so this
+        is where its cached snapshot rows are dropped.  On a change of
+        best, queues the re-advertisement, tells the ``on_best_change``
+        listeners and returns (old, new); else None.
         """
+        router._rows = None
         old = router.best.get(prefix)
         table = router.rib.get(prefix) or {}
         new = select_best([r for r in table.values() if r.is_valid])

@@ -103,6 +103,9 @@ class Dispatcher:
         self.roa_cache: set[OriginEntry] = set()
         self.rov_cache: set[OriginEntry] = set()
         self.registered: set[Prefix] = set()   # prefixes this agent ever added
+        # the last tick's snapshot and its scan, reused while the table is unchanged
+        self._snapshot: Optional[list[dict]] = None
+        self._scanned: tuple[set[OriginEntry], set[OriginEntry]] = (set(), set())
         self.reports: list[DispatcherReport] = []
         self._filters_sent: set[tuple[RouterId, int]] = set()
         # callbacks fired when a filter actually lands: (rule, install_time)
@@ -111,10 +114,18 @@ class Dispatcher:
     # -- routines ---------------------------------------------------------
 
     def tick(self, t: float) -> DispatcherReport:
-        """One scheduled pass: snapshot, scan, sender sync, verifier sync."""
+        """One scheduled pass: snapshot, scan, sender sync, verifier sync.
+
+        A snapshot equal to the last tick's is not scanned again: its
+        scan is reused.  Both syncs still run, so an entry whose request
+        raised is retried while the table stays unchanged.
+        """
         report = DispatcherReport(t=t, router=str(self.home))
         snapshot = self.sim.snapshot_table(self.home)
-        roa_var, rov_var = scan(snapshot, self.own_asn)
+        if snapshot != self._snapshot:
+            self._snapshot = snapshot
+            self._scanned = scan(snapshot, self.own_asn)
+        roa_var, rov_var = self._scanned
         self.sender_sync(roa_var, t, report)
         self.verifier_sync(rov_var, t, report)
         self.reports.append(report)
@@ -122,7 +133,10 @@ class Dispatcher:
 
     def sender_sync(self, roa_var: set[OriginEntry], now: float,
                     report: Optional[DispatcherReport] = None) -> list[tuple[OriginEntry, str]]:
-        """Push announcements/withdrawals of own prefixes to the ledger."""
+        """Push announcements/withdrawals of own prefixes to the ledger.
+
+        Leaves ``roa_var`` as it is; ``roa_cache`` becomes a new set.
+        """
         report = report if report is not None else DispatcherReport(now, str(self.home))
         next_entries = set(roa_var)
         actions: list[tuple[OriginEntry, str]] = []
@@ -162,7 +176,10 @@ class Dispatcher:
     def verifier_sync(self, rov_var: set[OriginEntry], now: float,
                       report: Optional[DispatcherReport] = None
                       ) -> list[tuple[OriginEntry, VerificationSignal, str]]:
-        """Verify newly seen external triples; filter the invalid ones."""
+        """Verify newly seen external triples; filter the invalid ones.
+
+        Leaves ``rov_var`` as it is; ``rov_cache`` becomes a new set.
+        """
         report = report if report is not None else DispatcherReport(now, str(self.home))
         next_entries = set(rov_var)
         results = []

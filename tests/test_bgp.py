@@ -18,6 +18,7 @@ from blockjack.bgp import (
     Simulation,
     SimulationError,
     UpdateMessage,
+    WITHDRAW,
     _unchecked_route,
     apply_event_script,
     dump_topology,
@@ -705,7 +706,7 @@ RING_LINKS = [(0, 1, 0.1), (1, 2, 0.3), (2, 3, 0.1), (3, 4, 0.3), (4, 0, 0.1),
 RING_SESSIONS = sorted({(a, b) for a, b, _ in RING_LINKS}
                        | {(b, a) for a, b, _ in RING_LINKS})
 
-ring_steps = st.lists(st.one_of(
+ring_step = st.one_of(
     st.tuples(st.just("originate"), st.integers(0, 4), st.sampled_from([P1, P2])),
     st.tuples(st.just("withdraw"), st.integers(0, 4), st.sampled_from([P1, P2])),
     # router, and a pick among the (neighbor, origin) pairs it could deny
@@ -713,7 +714,43 @@ ring_steps = st.lists(st.one_of(
     # mari is 1 s: a route crosses one hop per boundary, so most runs
     # move several hops
     st.tuples(st.just("run"), st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, 5.0])),
-), min_size=4, max_size=40)
+)
+ring_steps = st.lists(ring_step, min_size=4, max_size=40)
+
+
+def ring_sim(overrides):
+    sim = Simulation(mari=1.0)
+    for rid in RING:
+        sim.add_router(rid)
+    for a, b, delay in RING_LINKS:
+        sim.add_link(RING[a], RING[b], delay)
+    for (a, b), local_pref in overrides.items():
+        sim.routers[RING[a]].local_pref_in[RING[b]] = local_pref
+    return sim
+
+
+def apply_ring_step(sim, kind, *args):
+    """One step of ``ring_step``; an originate or withdraw that would be
+    refused is skipped."""
+    if kind == "run":
+        sim.run_until(sim.clock.now + args[0])
+    elif kind == "filter":
+        # deny a route the router holds, if any, so most filters purge one
+        rid = RING[args[0]]
+        router = sim.routers[rid]
+        pairs = sorted({(sender, route.origin) for table in router.rib.values()
+                        for sender, route in table.items() if sender != rid}
+                       ) or [(n, r.asn) for n in sorted(router.neighbors) for r in RING]
+        neighbor, origin = pairs[args[1] % len(pairs)]
+        sim.install_inbound_filter(rid, FilterRule(neighbor=neighbor, deny_origin=origin,
+                                                   deny_prefix=P1))
+    else:
+        rid, prefix = RING[args[0]], args[1]
+        originated = prefix in sim.routers[rid].originated
+        if kind == "originate" and not originated:
+            sim.originate_prefix(rid, prefix)
+        elif kind == "withdraw" and originated:
+            sim.withdraw_prefix(rid, prefix)
 
 
 def check_best_is_recorded_once(sim, seen):
@@ -742,34 +779,10 @@ def check_best_is_recorded_once(sim, seen):
                                  st.sampled_from([50, 100, 150, 300])),
        steps=ring_steps)
 def test_router_best_is_the_only_record_of_best(overrides, steps):
-    sim = Simulation(mari=1.0)
-    for rid in RING:
-        sim.add_router(rid)
-    for a, b, delay in RING_LINKS:
-        sim.add_link(RING[a], RING[b], delay)
-    for (a, b), local_pref in overrides.items():
-        sim.routers[RING[a]].local_pref_in[RING[b]] = local_pref
+    sim = ring_sim(overrides)
     seen = {}
-    for kind, *args in steps:
-        if kind == "run":
-            sim.run_until(sim.clock.now + args[0])
-        elif kind == "filter":
-            # deny a route the router holds, if any, so most filters purge one
-            rid = RING[args[0]]
-            router = sim.routers[rid]
-            pairs = sorted({(sender, route.origin) for table in router.rib.values()
-                            for sender, route in table.items() if sender != rid}
-                           ) or [(n, r.asn) for n in sorted(router.neighbors) for r in RING]
-            neighbor, origin = pairs[args[1] % len(pairs)]
-            sim.install_inbound_filter(rid, FilterRule(neighbor=neighbor, deny_origin=origin,
-                                                       deny_prefix=P1))
-        else:
-            rid, prefix = RING[args[0]], args[1]
-            originated = prefix in sim.routers[rid].originated
-            if kind == "originate" and not originated:
-                sim.originate_prefix(rid, prefix)
-            elif kind == "withdraw" and originated:
-                sim.withdraw_prefix(rid, prefix)
+    for step in steps:
+        apply_ring_step(sim, *step)
         check_best_is_recorded_once(sim, seen)
 
 
@@ -784,6 +797,74 @@ def test_snapshot_is_pure_and_stable_ordered():
     rows = sim.snapshot_table(C)
     keys = [(r["prefix"], r["next_hop"]) for r in rows]
     assert keys == sorted(keys)
+
+
+def reference_rows(router):
+    """A router's snapshot rows rebuilt from its rib and best."""
+    return [{"prefix": route.prefix, "next_hop": route.next_hop, "metric": route.metric,
+             "local_pref": route.local_pref, "weight": route.weight,
+             "as_path": route.as_path, "is_valid": route.is_valid,
+             "is_best": route is router.best.get(prefix)}
+            for prefix in sorted(router.rib)
+            for _, route in sorted(router.rib[prefix].items())]
+
+
+# a neighbor's announce or withdraw delivered now, beside the ring steps:
+# (receiver, pick of its neighbors, pick of an origin AS, prefix, valid)
+snapshot_steps = st.lists(st.one_of(
+    ring_step,
+    st.tuples(st.just("announce"), st.integers(0, 4), st.integers(0, 3),
+              st.integers(0, 4), st.sampled_from([P1, P2]), st.booleans()),
+    st.tuples(st.just("retract"), st.integers(0, 4), st.integers(0, 3),
+              st.sampled_from([P1, P2])),
+), min_size=4, max_size=40)
+
+
+@settings(derandomize=True, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(RING_SESSIONS),
+                                 st.sampled_from([50, 100, 150, 300])),
+       steps=snapshot_steps)
+def test_snapshot_rows_follow_every_table_change(overrides, steps):
+    """After any originate, withdraw, announce or filter, every router's
+    snapshot equals its rows rebuilt from rib and best, though the last
+    snapshot's rows were kept and the caller edited what it got."""
+    sim = ring_sim(overrides)
+    for kind, *args in steps:
+        if kind in ("announce", "retract"):
+            receiver = RING[args[0]]
+            neighbors = sorted(sim.routers[receiver].neighbors)
+            sender = neighbors[args[1] % len(neighbors)]
+            prefix = args[-2] if kind == "announce" else args[-1]
+            if kind == "announce":
+                path = tuple(dict.fromkeys((sender.asn, RING[args[2]].asn)))
+                msg = UpdateMessage(ANNOUNCE, sender, prefix, sim.clock.now,
+                                    Route(prefix=prefix, next_hop=sender, as_path=path,
+                                          metric=len(path), is_valid=args[-1]))
+            else:
+                msg = UpdateMessage(WITHDRAW, sender, prefix, sim.clock.now)
+            sim.process_update(receiver, msg)
+        else:
+            apply_ring_step(sim, kind, *args)
+        for rid, router in sim.routers.items():
+            rows = sim.snapshot_table(rid)
+            assert rows == reference_rows(router)
+            if rows:
+                rows[0]["is_best"] = None
+                rows.pop()
+
+
+def test_editing_a_snapshot_leaves_the_next_one_as_it_was():
+    sim = triangle()
+    sim.originate_prefix(A, P1, 0.0)
+    sim.originate_prefix(B, P2, 0.0)
+    sim.run_until(123.0)
+    rows = sim.snapshot_table(C)
+    expected = [dict(row) for row in rows]
+    rows[0]["is_best"] = not rows[0]["is_best"]
+    rows[0]["as_path"] = ()
+    del rows[1]["metric"]
+    rows.append({})
+    assert sim.snapshot_table(C) == expected == reference_rows(sim.routers[C])
 
 
 def test_fixed_script_is_byte_identical_across_runs():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from blockjack import dispatcher as dispatcher_module
 from blockjack.bgp import Simulation
 from blockjack.dispatcher import (
     ACCEPT,
@@ -243,6 +244,60 @@ def test_verifier_filters_adversarial_origin():
     best = [r for r in sim.snapshot_table(ROOT)
             if r["prefix"] == P and r["is_best"]][0]
     assert best["as_path"] == (102, 104)   # victim route restored
+
+
+def test_verifier_error_is_retried_while_the_table_is_unchanged():
+    """The next tick verifies the entry again, although its snapshot equals
+    the failed tick's and the scan is reused."""
+    sim = tree_sim()
+    profiler, _ = build_gateway(routers=[ROOT, V])
+    register_victim(profiler, V, P)
+    agent = dispatcher_on(sim, profiler)
+    sim.originate_prefix(V, P, 0.0)
+    sim.run_until(70.0)
+    real = profiler.handle_request
+    calls = {"n": 0}
+
+    def flaky(req, now=0.0):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise OSError("gateway unreachable")
+        return real(req, now=now)
+
+    profiler.handle_request = flaky
+    snapshot = sim.snapshot_table(ROOT)
+    report = agent.tick(70.0)
+    assert (report.errors, report.verifies) == (1, 0)
+    assert agent.rov_cache == set()
+    report = agent.tick(71.0)
+    assert (report.errors, report.verifies) == (0, 1)
+    assert agent.rov_cache == {OriginEntry(P, 104, C1)}
+    assert sim.snapshot_table(ROOT) == snapshot
+    assert calls["n"] == 2
+
+
+def test_tick_scans_only_a_changed_snapshot(monkeypatch):
+    sim = tree_sim()
+    profiler, _ = build_gateway(routers=[ROOT, V])
+    register_victim(profiler, V, P)
+    agent = dispatcher_on(sim, profiler)
+    scanned = []
+
+    def counting_scan(snapshot, own_asn):
+        scanned.append(len(snapshot))
+        return scan(snapshot, own_asn)
+
+    monkeypatch.setattr(dispatcher_module, "scan", counting_scan)
+    sim.originate_prefix(V, P, 0.0)
+    for t in (0.0, 1.0, 2.0):   # the victim's route reaches ROOT at 60.1
+        sim.run_until(t)
+        agent.tick(t)
+    assert scanned == [0]
+    for t in (61.0, 62.0, 63.0):
+        sim.run_until(t)
+        agent.tick(t)
+    assert scanned == [0, 1]
+    assert [report.verifies for report in agent.reports] == [0, 0, 0, 1, 0, 0]
 
 
 # -- full tick loop --------------------------------------------------------------
