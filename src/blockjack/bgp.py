@@ -564,16 +564,18 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     Router ids in "links"/"peering" refer to the integer "id" field, so
     a router written ``"id": "007"`` is named ``7``; the full wire form
     ``asn.index`` is also accepted, and is required for an index that
-    more than one router has.  An "id", "asn" or "local_pref" that is a
-    bool or a non-integral number, a second link between the same two
-    routers in either orientation, and a peering between routers that
-    are not linked are refused.  Raises SimulationError naming the first
-    bad entry, e.g. ``links[2]``.
+    more than one router has.  "links" and "peering" may be left out,
+    but when present must be lists.  An "id", "asn" or "local_pref"
+    that is a bool or a non-integral number, a router reference that is
+    a bool or a float, a second link between the same two routers in
+    either orientation, and a peering between routers that are not
+    linked are refused.  Raises SimulationError naming the first bad
+    entry, e.g. ``links[2]``.
     """
     with _naming("topology"):
         routers = _list_of(doc["routers"], "routers")
-        links = _list_of(doc.get("links") or [], "links")
-        peering = _list_of(doc.get("peering") or [], "peering")
+        links = _list_of(doc.get("links", []), "links")
+        peering = _list_of(doc.get("peering", []), "peering")
     sim = Simulation(mari=mari)
     by_label: dict[str, RouterId] = {}
     shared: set[str] = set()   # bare indexes that more than one router has
@@ -588,6 +590,9 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
             by_label[str(rid)] = rid
 
     def resolve(label) -> RouterId:
+        if isinstance(label, (bool, float)):
+            raise ValueError(f"router reference must be an integer or asn.index, "
+                             f"got {label!r}")
         key = str(label)
         if key not in by_label:
             raise SimulationError(f"unknown router reference {label!r}")
@@ -631,7 +636,8 @@ def dump_topology(sim: Simulation) -> dict:
 def apply_event_script(sim: Simulation, events: list):
     """Schedule a JSON event script: a list of {t, op, args} entries.
 
-    Supported ops: originate, withdraw, install_filter.  Every entry is
+    Supported ops: originate, withdraw, install_filter.  ``t`` must be a
+    finite JSON number, not a bool or a string.  Every entry is
     parsed and checked, against the origins the entries before it leave,
     before any is scheduled: a bad entry raises SimulationError naming
     it, e.g. ``events[3]``, and leaves the simulation as it was.
@@ -642,7 +648,10 @@ def apply_event_script(sim: Simulation, events: list):
     originated: dict[RouterId, set[Prefix]] = {}   # as the script leaves them
     for i, event in enumerate(events):
         with _naming(f"events[{i}]"):
-            t = float(event["t"])
+            t = event["t"]
+            if isinstance(t, bool) or not isinstance(t, (int, float)):
+                raise TypeError(f"t must be a number, got {t!r}")
+            t = float(t)
             if not math.isfinite(t):
                 raise ValueError(f"t must be finite, got {t}")
             if t < sim.clock.now:

@@ -941,7 +941,7 @@ FILTER = {"t": 1.0, "op": "install_filter",
      "peering[0] lacks 'local_pref'"),
     (TOPOLOGY_DOC, [{"op": "originate", "args": ORIGINATE["args"]}],
      "events[0] lacks 't'"),
-    (TOPOLOGY_DOC, [ORIGINATE, dict(ORIGINATE, t="nan")],
+    (TOPOLOGY_DOC, [ORIGINATE, dict(ORIGINATE, t=math.nan)],
      "events[1]: t must be finite"),
     (TOPOLOGY_DOC, [dict(ORIGINATE, op="reboot")], "events[0]: unknown script op"),
     (TOPOLOGY_DOC, [dict(ORIGINATE, args={"router": "10.0"})],
@@ -991,6 +991,25 @@ FILTER = {"t": 1.0, "op": "install_filter",
     (TOPOLOGY_DOC, [dict(ORIGINATE, t=10**400)], "events[0]: int too large"),
     (TOPOLOGY_DOC, [dict(FILTER, args=dict(FILTER["args"], deny_origin=math.inf))],
      "events[0]: cannot convert float infinity to integer"),
+    (dict(TOPOLOGY_DOC, links={}), [], "topology: 'links' is not a list"),
+    (dict(TOPOLOGY_DOC, links=0), [], "topology: 'links' is not a list"),
+    (dict(TOPOLOGY_DOC, links=False), [], "topology: 'links' is not a list"),
+    (dict(TOPOLOGY_DOC, links=None), [], "topology: 'links' is not a list"),
+    (dict(TOPOLOGY_DOC, peering={}), [], "topology: 'peering' is not a list"),
+    (dict(TOPOLOGY_DOC, peering=None), [], "topology: 'peering' is not a list"),
+    # on its own, 10.0 would name router 10.0 through its asn.index text form
+    (dict(TOPOLOGY_DOC, links=[{"a": 1, "b": 2}, {"a": 10.0, "b": 1}]), [],
+     "links[1]: router reference must be an integer or asn.index, got 10.0"),
+    (dict(TOPOLOGY_DOC, links=[{"a": True, "b": 1}]), [],
+     "links[0]: router reference must be an integer or asn.index, got True"),
+    (dict(TOPOLOGY_DOC, peering=[{"router": "30.2", "neighbor": 1.0,
+                                  "local_pref": 200}]), [],
+     "peering[0]: router reference must be an integer or asn.index, got 1.0"),
+    (TOPOLOGY_DOC, [ORIGINATE, dict(ORIGINATE, t=True, op="withdraw")],
+     "events[1]: t must be a number, got True"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, t="5")], "events[0]: t must be a number, got '5'"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, t="nan")],
+     "events[0]: t must be a number, got 'nan'"),
 ], ids=["empty", "routers-not-list", "router-not-object", "router-lacks-asn",
         "router-id-not-numeric", "duplicate-router", "link-unknown-router",
         "link-delay-nan", "peering-lacks-local-pref", "event-lacks-t", "event-t-nan",
@@ -1001,7 +1020,10 @@ FILTER = {"t": 1.0, "op": "install_filter",
         "filter-neighbor-not-adjacent", "filter-unknown-neighbor", "link-ambiguous-index",
         "peering-ambiguous-index", "peering-local-pref-fraction", "peering-local-pref-bool",
         "peering-not-adjacent", "script-none", "script-number", "script-object",
-        "link-delay-huge", "event-t-huge", "filter-deny-origin-inf"])
+        "link-delay-huge", "event-t-huge", "filter-deny-origin-inf", "links-object",
+        "links-zero", "links-false", "links-null", "peering-object", "peering-null",
+        "link-float-reference", "link-bool-reference", "peering-float-reference",
+        "event-t-bool", "event-t-string", "event-t-nan-string"])
 def test_bad_topology_or_script_names_the_entry(doc, events, message):
     with pytest.raises(SimulationError) as excinfo:
         apply_event_script(load_topology(doc), events)
@@ -1015,8 +1037,10 @@ def test_bad_topology_or_script_names_the_entry(doc, events, message):
      "events[1]: unknown router 99.9"),
     (dict(FILTER, args=dict(FILTER["args"], router="10.0", neighbor="30.2")),
      "events[1]: 30.2 is not adjacent to 10.0"),
+    (dict(ORIGINATE, t=True, op="withdraw"), "events[1]: t must be a number, got True"),
+    (dict(FILTER, t="5"), "events[1]: t must be a number, got '5'"),
 ], ids=["entry-lacks-t", "entry-originates-twice", "filter-unknown-router",
-        "filter-neighbor-not-adjacent"])
+        "filter-neighbor-not-adjacent", "entry-t-bool", "entry-t-string"])
 def test_bad_script_schedules_nothing_and_a_corrected_retry_succeeds(bad_entry, message):
     sim = load_topology(TOPOLOGY_DOC)
     filter_entry = FILTER
