@@ -809,14 +809,15 @@ def reference_rows(router):
             for _, route in sorted(router.rib[prefix].items())]
 
 
-# a neighbor's announce or withdraw delivered now, beside the ring steps:
-# (receiver, pick of its neighbors, pick of an origin AS, prefix, valid)
+# a neighbor's withdraw or announce delivered now, beside the ring steps:
+# (receiver, pick of its neighbors, prefix) and, for an announce, (pick of
+# an origin AS, valid)
 snapshot_steps = st.lists(st.one_of(
     ring_step,
-    st.tuples(st.just("announce"), st.integers(0, 4), st.integers(0, 3),
-              st.integers(0, 4), st.sampled_from([P1, P2]), st.booleans()),
     st.tuples(st.just("retract"), st.integers(0, 4), st.integers(0, 3),
               st.sampled_from([P1, P2])),
+    st.tuples(st.just("announce"), st.integers(0, 4), st.integers(0, 3),
+              st.sampled_from([P1, P2]), st.integers(0, 4), st.booleans()),
 ), min_size=4, max_size=40)
 
 
@@ -830,25 +831,24 @@ def test_snapshot_rows_follow_every_table_change(overrides, steps):
     snapshot's rows were kept and the caller edited what it got."""
     sim = ring_sim(overrides)
     for kind, *args in steps:
-        if kind in ("announce", "retract"):
-            receiver = RING[args[0]]
-            neighbors = sorted(sim.routers[receiver].neighbors)
-            sender = neighbors[args[1] % len(neighbors)]
-            prefix = args[-2] if kind == "announce" else args[-1]
-            if kind == "announce":
-                path = tuple(dict.fromkeys((sender.asn, RING[args[2]].asn)))
-                msg = UpdateMessage(ANNOUNCE, sender, prefix, sim.clock.now,
-                                    Route(prefix=prefix, next_hop=sender, as_path=path,
-                                          metric=len(path), is_valid=args[-1]))
-            else:
-                msg = UpdateMessage(WITHDRAW, sender, prefix, sim.clock.now)
-            sim.process_update(receiver, msg)
-        else:
+        if kind not in ("announce", "retract"):
             apply_ring_step(sim, kind, *args)
+            continue
+        receiver, pick, prefix, *announce = args
+        neighbors = sorted(sim.routers[RING[receiver]].neighbors)
+        sender = neighbors[pick % len(neighbors)]
+        route = None
+        if announce:
+            origin, valid = announce
+            path = tuple(dict.fromkeys((sender.asn, RING[origin].asn)))
+            route = Route(prefix=prefix, next_hop=sender, as_path=path,
+                          metric=len(path), is_valid=valid)
+        sim.process_update(RING[receiver], UpdateMessage(
+            ANNOUNCE if route else WITHDRAW, sender, prefix, sim.clock.now, route))
         for rid, router in sim.routers.items():
             rows = sim.snapshot_table(rid)
             assert rows == reference_rows(router)
-            if rows:
+            if rows:   # the caller owns what it gets
                 rows[0]["is_best"] = None
                 rows.pop()
 
