@@ -52,7 +52,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .types import Prefix, RouterId, check_asn
+from .types import Prefix, RouterId, check_asn, integer, number
 
 log = logging.getLogger(__name__)
 
@@ -543,14 +543,6 @@ def _list_of(value, name: str) -> list:
     return value
 
 
-def _integer(value, name: str) -> int:
-    """An id or ASN as an int, refusing rather than truncating a bool or a
-    JSON number written with a fraction or an exponent."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     """Build a simulation from the topology JSON document.
 
@@ -566,11 +558,11 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     ``asn.index`` is also accepted, and is required for an index that
     more than one router has.  "links" and "peering" may be left out,
     but when present must be lists.  An "id", "asn" or "local_pref"
-    that is a bool or a non-integral number, a router reference that is
-    a bool or a float, a second link between the same two routers in
-    either orientation, and a peering between routers that are not
-    linked are refused.  Raises SimulationError naming the first bad
-    entry, e.g. ``links[2]``.
+    that is a bool or a non-integral number, a "delay_s" that is not a
+    finite JSON number, a router reference that is a bool or a float, a
+    second link between the same two routers in either orientation, and
+    a peering between routers that are not linked are refused.  Raises
+    SimulationError naming the first bad entry, e.g. ``links[2]``.
     """
     with _naming("topology"):
         routers = _list_of(doc["routers"], "routers")
@@ -581,8 +573,7 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     shared: set[str] = set()   # bare indexes that more than one router has
     for i, entry in enumerate(routers):
         with _naming(f"routers[{i}]"):
-            rid = RouterId(check_asn(_integer(entry["asn"], "asn")),
-                           _integer(entry["id"], "id"))
+            rid = RouterId(integer(entry["asn"], "asn"), integer(entry["id"], "id"))
             sim.add_router(rid)
             if str(rid.index) in by_label:
                 shared.add(str(rid.index))
@@ -607,37 +598,23 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
             a, b = resolve(link["a"]), resolve(link["b"])
             if b in sim.routers[a].neighbors:
                 raise SimulationError(f"duplicate link between {a} and {b}")
-            sim.add_link(a, b, float(link.get("delay_s", DEFAULT_LINK_DELAY)))
+            sim.add_link(a, b, number(link.get("delay_s", DEFAULT_LINK_DELAY), "delay_s"))
     for i, override in enumerate(peering):
         with _naming(f"peering[{i}]"):
             router = sim.routers[resolve(override["router"])]
             neighbor = resolve(override["neighbor"])
             if neighbor not in router.neighbors:
                 raise SimulationError(f"{neighbor} is not adjacent to {router.rid}")
-            router.local_pref_in[neighbor] = _integer(override["local_pref"], "local_pref")
+            router.local_pref_in[neighbor] = integer(override["local_pref"], "local_pref")
     return sim
-
-
-def dump_topology(sim: Simulation) -> dict:
-    """Topology document for the current simulation (links deduplicated)."""
-    routers = [{"id": rid.index, "asn": rid.asn} for rid in sorted(sim.routers)]
-    links = []
-    seen = set()
-    for rid in sorted(sim.routers):
-        for neighbor, delay in sorted(sim.routers[rid].neighbors.items()):
-            key = tuple(sorted((rid, neighbor)))
-            if key in seen:
-                continue
-            seen.add(key)
-            links.append({"a": rid.index, "b": neighbor.index, "delay_s": delay})
-    return {"routers": routers, "links": links}
 
 
 def apply_event_script(sim: Simulation, events: list):
     """Schedule a JSON event script: a list of {t, op, args} entries.
 
     Supported ops: originate, withdraw, install_filter.  ``t`` must be a
-    finite JSON number, not a bool or a string.  Every entry is
+    finite JSON number, not a bool or a string; a router or prefix must
+    be text, and ``deny_origin`` an integer.  Every entry is
     parsed and checked, against the origins the entries before it leave,
     before any is scheduled: a bad entry raises SimulationError naming
     it, e.g. ``events[3]``, and leaves the simulation as it was.
@@ -648,12 +625,7 @@ def apply_event_script(sim: Simulation, events: list):
     originated: dict[RouterId, set[Prefix]] = {}   # as the script leaves them
     for i, event in enumerate(events):
         with _naming(f"events[{i}]"):
-            t = event["t"]
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                raise TypeError(f"t must be a number, got {t!r}")
-            t = float(t)
-            if not math.isfinite(t):
-                raise ValueError(f"t must be finite, got {t}")
+            t = number(event["t"], "t")
             if t < sim.clock.now:
                 raise SimulationError(f"cannot schedule at {t} before now={sim.clock.now}")
             op = event["op"]
@@ -664,7 +636,8 @@ def apply_event_script(sim: Simulation, events: list):
             router = sim._router(rid)
             if op == "install_filter":
                 rule = FilterRule(neighbor=RouterId.parse(args["neighbor"]),
-                                  deny_origin=check_asn(int(args["deny_origin"])),
+                                  deny_origin=check_asn(integer(args["deny_origin"],
+                                                                "deny_origin")),
                                   deny_prefix=Prefix.parse(args["deny_prefix"]))
                 if rule.neighbor not in router.neighbors:
                     raise SimulationError(f"{rule.neighbor} is not adjacent to {rid}")
@@ -691,19 +664,8 @@ def apply_event_script(sim: Simulation, events: list):
 
 def snapshot_jsonable(rows: list[dict]) -> list[dict]:
     """Snapshot rows with identifier types rendered as strings/lists."""
-    out = []
-    for row in rows:
-        out.append({
-            "prefix": str(row["prefix"]),
-            "next_hop": str(row["next_hop"]),
-            "metric": row["metric"],
-            "local_pref": row["local_pref"],
-            "weight": row["weight"],
-            "as_path": list(row["as_path"]),
-            "is_valid": row["is_valid"],
-            "is_best": row["is_best"],
-        })
-    return out
+    return [dict(row, prefix=str(row["prefix"]), next_hop=str(row["next_hop"]),
+                 as_path=list(row["as_path"])) for row in rows]
 
 
 def snapshot_json(sim: Simulation, rid: RouterId) -> str:

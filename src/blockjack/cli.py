@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -11,6 +10,7 @@ from .harness import (
     ScenarioConfig,
     ScenarioError,
     run_scenario,
+    write_json,
     write_metrics,
     write_summary,
 )
@@ -78,14 +78,10 @@ def cmd_run(args) -> int:
     write_metrics(metrics, args.out)
     if args.summary:
         write_summary([metrics], args.summary)
-    if args.dump_ledger:
-        with open(args.dump_ledger, "w") as handle:
-            json.dump(metrics.ledger_dump, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-    if args.topology_out:
-        with open(args.topology_out, "w") as handle:
-            json.dump(metrics.topology_doc, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+    for path, doc in ((args.dump_ledger, metrics.ledger_dump),
+                      (args.topology_out, metrics.topology_doc)):
+        if path:
+            write_json(doc, path)
     if args.reports_out:
         with open(args.reports_out, "w") as handle:
             handle.write("\n".join(metrics.reports) + "\n")
@@ -105,16 +101,12 @@ def cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        parser.error(f"unknown command {args.command}")
+        return cmd_run(args)
     except (ScenarioError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -65,11 +65,7 @@ class DispatcherReport:
     errors: int = 0
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "t": self.t, "router": self.router, "verifies": self.verifies,
-            "adds": self.adds, "status_updates": self.status_updates,
-            "filters": self.filters, "errors": self.errors,
-        }, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def scan(snapshot: list[dict], own_asn: int) -> tuple[set[OriginEntry], set[OriginEntry]]:

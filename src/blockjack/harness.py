@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,8 +58,15 @@ class ScenarioConfig:
             raise ScenarioError(f"need at least 3 routers, got {self.routers}")
         if self.adversarial_prefixes < 1:
             raise ScenarioError("need at least one adversarial prefix")
-        if self.duration <= 0 or self.mari <= 0 or self.scan_interval <= 0:
-            raise ScenarioError("duration, mari and scan_interval must be positive")
+        # chained comparisons, which NaN fails as well as the infinities
+        for name in ("duration", "mari", "scan_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite, got {value}")
+        for name in ("link_delay", "attack_at"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ScenarioError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def resolved_connectivity(self) -> float:
@@ -159,7 +167,6 @@ class AttackMonitor:
         self.appearance_events: list[Appearance] = []
         self.filter_events: list[tuple[float, FilterRule]] = []
         self._live: dict[Prefix, Appearance] = {}
-        self._filters_by_origin: dict[int, int] = {}
         sim.on_best_change.append(self._best_changed)
 
     def watch(self, record: AttackRecord):
@@ -167,8 +174,6 @@ class AttackMonitor:
 
     def on_filter(self, rule: FilterRule, at: float):
         self.filter_events.append((at, rule))
-        self._filters_by_origin[rule.deny_origin] = \
-            self._filters_by_origin.get(rule.deny_origin, 0) + 1
         for record in self.records.values():
             if record.adversary != rule.deny_origin:
                 continue
@@ -206,10 +211,11 @@ class AttackMonitor:
             episode.end = now
 
     def _maybe_stamp(self, record: AttackRecord, now: float):
-        """Neutralized: a filter is in, and no adversarial best remains."""
+        """Neutralized: the home router filters the adversary, and no
+        adversarial best remains."""
         if record.neutralized_at is not None or record.first_best_at is None:
             return
-        if not self._filters_by_origin.get(record.adversary):
+        if not any(origin == record.adversary for _, origin in self.router.filters):
             return
         best = self.router.best.get(record.prefix)
         if best is None or best.origin != record.adversary:
@@ -372,8 +378,13 @@ def summarize(metrics_list: list[ScenarioMetrics]) -> dict:
     }
 
 
+def write_json(doc, path) -> None:
+    """The JSON file form of every output document: sorted keys, indent 2."""
+    with open(path, "w") as handle:
+        json.dump(doc, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
 def write_summary(metrics_list, path) -> None:
     metrics_list = metrics_list if isinstance(metrics_list, list) else [metrics_list]
-    with open(path, "w") as handle:
-        json.dump(summarize(metrics_list), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(summarize(metrics_list), path)

@@ -21,7 +21,7 @@ from .ledger import (
     Denial,
     VerifyResult,
 )
-from .types import Prefix, RouterId, check_asn
+from .types import Prefix, RouterId, check_asn, flag, integer
 
 ACTION_ADD = "add_prefix"
 ACTION_UPDATE = "update_status"
@@ -55,9 +55,10 @@ class GatewayRequest:
         """Shared wire codec for the in-process and HTTP bindings."""
         return cls(action=action,
                    prefix=Prefix.parse(payload["prefix"]),
-                   asn=check_asn(int(payload["asn"])),
+                   asn=integer(payload["asn"], "asn"),
                    claimed_router=RouterId.parse(payload["router_id"]),
-                   active=None if "active" not in payload else bool(payload["active"]))
+                   active=(flag(payload["active"], "active")
+                           if "active" in payload else None))
 
     def to_payload(self) -> dict:
         payload = {"prefix": str(self.prefix), "asn": self.asn,

@@ -32,7 +32,7 @@ from .profiler import (
     GatewayRequest,
     Profiler,
 )
-from .types import RouterId
+from .types import RouterId, integer
 
 # Largest request body the server reads; a gateway request is ~100 bytes.
 MAX_BODY_BYTES = 64 * 1024
@@ -148,7 +148,7 @@ class GatewayHTTPServer:
                 raise AuthenticationError("no administrator enrolled")
             admin = profiler.wallet.get(self.admin_subject)
             rid = RouterId.parse(payload["router_id"])
-            if rid.asn != int(payload["asn"]):
+            if rid.asn != integer(payload["asn"], "asn"):
                 raise ValueError("router_id and asn fields disagree")
             cred = profiler.create_router_profile(rid, admin)
             return {"status": "ok", "router_id": cred.subject, "asn": cred.asn}

@@ -3,11 +3,17 @@
 ``Prefix`` and ``RouterId`` are validated named tuples, so hashing,
 equality and ordering run in C; each compares and hashes as the plain
 tuple of its fields.
+
+A field of a topology or script document or of an HTTP request is read
+through ``integer``, ``number``, ``flag``, ``check_asn`` or a ``parse``,
+never a bare ``int()``, ``float()`` or ``bool()``; each refuses a value
+with ``TypeError`` or ``ValueError``, never converting it by force.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import math
 from collections import namedtuple
 
 MAX_ASN = 4_294_967_295
@@ -19,6 +25,37 @@ def check_asn(value: int) -> int:
         raise TypeError(f"ASN must be an integer, got {value!r}")
     if not 1 <= value <= MAX_ASN:
         raise ValueError(f"ASN out of range 1..{MAX_ASN}: {value}")
+    return value
+
+
+def integer(value, name: str) -> int:
+    """An int, or the text of one, refusing rather than truncating a bool
+    or a JSON number written with a fraction or an exponent."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def number(value, name: str) -> float:
+    """A finite int or float as a float; a bool or text is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def flag(value, name: str) -> bool:
+    """A JSON bool; ``0``, ``1`` and ``"false"`` are refused."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, form: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected {form} text, got {value!r}")
     return value
 
 
@@ -45,7 +82,7 @@ class Prefix(namedtuple("Prefix", "base length")):
     @classmethod
     def parse(cls, text: str) -> "Prefix":
         """Parse ``a.b.c.d/len`` text, zeroing any host bits."""
-        net = ipaddress.IPv4Network(str(text).strip(), strict=False)
+        net = ipaddress.IPv4Network(_text(text, "a.b.c.d/len").strip(), strict=False)
         return cls(int(net.network_address), net.prefixlen)
 
     def __str__(self) -> str:
@@ -73,7 +110,7 @@ class RouterId(namedtuple("RouterId", "asn index")):
     @classmethod
     def parse(cls, text: str) -> "RouterId":
         """Parse the ``asn.index`` wire form."""
-        asn, _, index = str(text).partition(".")
+        asn, _, index = _text(text, "asn.index").partition(".")
         return cls(int(asn), int(index or 0))
 
     def __str__(self) -> str:

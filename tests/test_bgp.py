@@ -21,7 +21,6 @@ from blockjack.bgp import (
     WITHDRAW,
     _unchecked_route,
     apply_event_script,
-    dump_topology,
     load_topology,
     route_rank,
     select_best,
@@ -909,9 +908,10 @@ def test_load_topology_and_script_roundtrip():
     sim.run_until(200.0)
     assert sim.snapshot_table(RouterId(30, 2)) == []
 
-    doc = dump_topology(sim)
-    assert {(l["a"], l["b"]) for l in doc["links"]} == {(0, 1), (1, 2)}
-    assert json.dumps(doc, sort_keys=True)  # JSON-serializable
+    assert {rid: router.neighbors for rid, router in sim.routers.items()} == {
+        RouterId(10, 0): {RouterId(20, 1): 0.1},
+        RouterId(20, 1): {RouterId(10, 0): 0.1, RouterId(30, 2): 0.2},
+        RouterId(30, 2): {RouterId(20, 1): 0.2}}
 
 
 # two routers share index 0, so a bare 0 names neither
@@ -936,7 +936,7 @@ FILTER = {"t": 1.0, "op": "install_filter",
     (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 9}]), [],
      "links[0]: unknown router reference 9"),
     (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 1, "delay_s": "nan"}]), [],
-     "links[0]: link delay must be finite"),
+     "links[0]: delay_s must be a number, got 'nan'"),
     (dict(TOPOLOGY_DOC, peering=[{"router": 0, "neighbor": 1}]), [],
      "peering[0] lacks 'local_pref'"),
     (TOPOLOGY_DOC, [{"op": "originate", "args": ORIGINATE["args"]}],
@@ -990,7 +990,7 @@ FILTER = {"t": 1.0, "op": "install_filter",
      "links[0]: int too large to convert to float"),
     (TOPOLOGY_DOC, [dict(ORIGINATE, t=10**400)], "events[0]: int too large"),
     (TOPOLOGY_DOC, [dict(FILTER, args=dict(FILTER["args"], deny_origin=math.inf))],
-     "events[0]: cannot convert float infinity to integer"),
+     "events[0]: deny_origin must be an integer, got inf"),
     (dict(TOPOLOGY_DOC, links={}), [], "topology: 'links' is not a list"),
     (dict(TOPOLOGY_DOC, links=0), [], "topology: 'links' is not a list"),
     (dict(TOPOLOGY_DOC, links=False), [], "topology: 'links' is not a list"),
@@ -1010,6 +1010,22 @@ FILTER = {"t": 1.0, "op": "install_filter",
     (TOPOLOGY_DOC, [dict(ORIGINATE, t="5")], "events[0]: t must be a number, got '5'"),
     (TOPOLOGY_DOC, [dict(ORIGINATE, t="nan")],
      "events[0]: t must be a number, got 'nan'"),
+    (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 1, "delay_s": True}]), [],
+     "links[0]: delay_s must be a number, got True"),
+    (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 1, "delay_s": "0.5"}]), [],
+     "links[0]: delay_s must be a number, got '0.5'"),
+    (dict(TOPOLOGY_DOC, links=[{"a": 0, "b": 1, "delay_s": math.nan}]), [],
+     "links[0]: delay_s must be finite, got nan"),
+    (TOPOLOGY_DOC, [dict(FILTER, args=dict(FILTER["args"], deny_origin=99.7))],
+     "events[0]: deny_origin must be an integer, got 99.7"),
+    (TOPOLOGY_DOC, [dict(FILTER, args=dict(FILTER["args"], deny_origin=True))],
+     "events[0]: deny_origin must be an integer, got True"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, args=dict(ORIGINATE["args"], router=10.0))],
+     "events[0]: expected asn.index text, got 10.0"),
+    (TOPOLOGY_DOC, [dict(FILTER, args=dict(FILTER["args"], neighbor=10.0))],
+     "events[0]: expected asn.index text, got 10.0"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, args=dict(ORIGINATE["args"], prefix=167772160))],
+     "events[0]: expected a.b.c.d/len text, got 167772160"),
 ], ids=["empty", "routers-not-list", "router-not-object", "router-lacks-asn",
         "router-id-not-numeric", "duplicate-router", "link-unknown-router",
         "link-delay-nan", "peering-lacks-local-pref", "event-lacks-t", "event-t-nan",
@@ -1023,7 +1039,10 @@ FILTER = {"t": 1.0, "op": "install_filter",
         "link-delay-huge", "event-t-huge", "filter-deny-origin-inf", "links-object",
         "links-zero", "links-false", "links-null", "peering-object", "peering-null",
         "link-float-reference", "link-bool-reference", "peering-float-reference",
-        "event-t-bool", "event-t-string", "event-t-nan-string"])
+        "event-t-bool", "event-t-string", "event-t-nan-string", "link-delay-bool",
+        "link-delay-string", "link-delay-nan-number", "filter-deny-origin-fraction",
+        "filter-deny-origin-bool", "event-router-float", "filter-neighbor-float",
+        "event-prefix-number"])
 def test_bad_topology_or_script_names_the_entry(doc, events, message):
     with pytest.raises(SimulationError) as excinfo:
         apply_event_script(load_topology(doc), events)
@@ -1039,8 +1058,18 @@ def test_bad_topology_or_script_names_the_entry(doc, events, message):
      "events[1]: 30.2 is not adjacent to 10.0"),
     (dict(ORIGINATE, t=True, op="withdraw"), "events[1]: t must be a number, got True"),
     (dict(FILTER, t="5"), "events[1]: t must be a number, got '5'"),
+    (dict(FILTER, args=dict(FILTER["args"], deny_origin=99.7)),
+     "events[1]: deny_origin must be an integer, got 99.7"),
+    (dict(FILTER, args=dict(FILTER["args"], deny_origin=True)),
+     "events[1]: deny_origin must be an integer, got True"),
+    (dict(ORIGINATE, t=3.0, op="withdraw", args=dict(ORIGINATE["args"], router=10.0)),
+     "events[1]: expected asn.index text, got 10.0"),
+    (dict(FILTER, args=dict(FILTER["args"], neighbor=10.0)),
+     "events[1]: expected asn.index text, got 10.0"),
 ], ids=["entry-lacks-t", "entry-originates-twice", "filter-unknown-router",
-        "filter-neighbor-not-adjacent", "entry-t-bool", "entry-t-string"])
+        "filter-neighbor-not-adjacent", "entry-t-bool", "entry-t-string",
+        "filter-deny-origin-fraction", "filter-deny-origin-bool", "entry-router-float",
+        "filter-neighbor-float"])
 def test_bad_script_schedules_nothing_and_a_corrected_retry_succeeds(bad_entry, message):
     sim = load_topology(TOPOLOGY_DOC)
     filter_entry = FILTER
@@ -1174,7 +1203,9 @@ def test_generated_topology_documents_load_link_for_link(kind):
     """gen_topology never names a pair twice, so its documents pass the link check."""
     topo = gen_topology(kind, 40, attacks=3, seed=2)
     sim = load_topology(topo.document())
-    assert len(dump_topology(sim)["links"]) == len(topo.links)
+    degrees = [len(router.neighbors) for router in sim.routers.values()]
+    assert sum(degrees) == 2 * len(topo.links)
+    assert all(sim.routers[a].neighbors[b] == delay for a, b, delay in topo.links)
 
 
 def test_event_script_filter_op():

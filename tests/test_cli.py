@@ -72,7 +72,10 @@ def test_cli_exit_one_when_attack_outlives_run(tmp_path):
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
-    for bad in (["--routers", "2"], ["--members", "0"], ["--members", "-3"]):
+    for bad in (["--routers", "2"], ["--members", "0"], ["--members", "-3"],
+                ["--duration", "nan"], ["--duration", "inf"], ["--mari", "nan"],
+                ["--scan-interval", "nan"], ["--attack-at", "nan"],
+                ["--attack-at", "-5"]):
         code = main(["run", "--scenario", "single", "--routers", "20", *bad,
                      "--out", str(tmp_path / "x.csv"), "--quiet"])
         assert code == 2, bad

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from blockjack import harness
-from blockjack.bgp import Simulation
+from blockjack.bgp import FilterRule, Simulation
 from blockjack.harness import (
     AttackMonitor,
     HOME_PREFIX,
@@ -54,6 +54,40 @@ def test_attack_time_defaults_to_midrun():
     assert ScenarioConfig(kind="single_path").resolved_attack_at == 300.0
     assert ScenarioConfig(kind="single_path",
                           attack_at=42.0).resolved_attack_at == 42.0
+
+
+# -- the monitor's neutralization stamp ---------------------------------------
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["withdrawn", "filtered"])
+def test_neutralized_only_once_the_home_router_filters_the_adversary(filtered):
+    """A hijack that leaves the table on its own is not a neutralization."""
+    sim = Simulation()
+    home, adversary = RouterId(10), RouterId(99)
+    sim.add_router(home)
+    sim.add_router(adversary)
+    sim.add_link(home, adversary, 0.1)
+    monitor = AttackMonitor(sim, home)
+    prefix = Prefix.parse("198.18.0.0/24")
+    record = harness.AttackRecord(prefix=prefix, true_owner=20, adversary=99,
+                                  injected_at=0.0)
+    monitor.watch(record)
+    sim.originate_prefix(adversary, prefix, 0.0)
+    if filtered:
+        rule = FilterRule(neighbor=adversary, deny_origin=99, deny_prefix=prefix)
+
+        def install():
+            sim.install_inbound_filter(home, rule)
+            monitor.on_filter(rule, sim.clock.now)
+
+        sim.schedule(45.0, install)
+    else:
+        sim.withdraw_prefix(adversary, prefix, 45.0)
+    sim.run_until(120.0)
+    assert record.first_best_at == 30.1
+    assert prefix not in sim.routers[home].best
+    assert record.neutralized_at == (45.0 if filtered else None)
+    assert record.paths_filtered == (1 if filtered else 0)
 
 
 # -- inject_attack preconditions --------------------------------------------

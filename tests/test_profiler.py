@@ -196,3 +196,17 @@ def test_request_codec_roundtrip():
         GatewayRequest(action="frobnicate", prefix=PFX, asn=10, claimed_router=R1)
     with pytest.raises(ValueError):
         GatewayRequest(action=ACTION_UPDATE, prefix=PFX, asn=10, claimed_router=R1)
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("active", "false", TypeError), ("active", 0, TypeError), ("active", None, TypeError),
+    ("asn", 99.7, ValueError), ("asn", True, ValueError), ("asn", "10.0", ValueError),
+    ("router_id", 10.0, TypeError), ("prefix", 167772160, TypeError),
+], ids=["active-string", "active-zero", "active-null", "asn-fraction", "asn-bool",
+        "asn-fraction-text", "router-float", "prefix-number"])
+def test_request_codec_refuses_a_field_of_the_wrong_type(field, value, error):
+    wire = dict(GatewayRequest(action=ACTION_UPDATE, prefix=PFX, asn=10,
+                               claimed_router=R1, active=False).to_payload())
+    wire[field] = value
+    with pytest.raises(error):
+        GatewayRequest.from_payload(ACTION_UPDATE, wire)

@@ -8,6 +8,7 @@ import pytest
 from blockjack.ledger import ConsortiumLedger, CostModel
 from blockjack.profiler import Profiler
 from blockjack.rest import MAX_BODY_BYTES, GatewayHTTPServer
+from blockjack.types import RouterId
 
 
 @pytest.fixture()
@@ -127,6 +128,35 @@ def test_http_and_inprocess_bindings_agree(server):
     _, via_http = call(server, "GET",
                        "/prefix?prefix=10.0.0.0/24&asn=99&router_id=99.0")
     assert via_http["signal"] == direct.signal.value == "invalid"
+
+
+def test_http_status_update_refuses_a_non_bool_active(server):
+    # bool("false") is True: read that way, the update would reactivate the prefix
+    enroll_and_profile(server)
+    prefix = {"router_id": "10.0", "prefix": "10.0.0.0/24", "asn": 10}
+    call(server, "POST", "/prefix", prefix)
+    status, _ = call(server, "POST", "/prefix/status", dict(prefix, active=False))
+    assert status == 200
+    for active in ("false", "true", 1, None):
+        status, body = call(server, "POST", "/prefix/status", dict(prefix, active=active))
+        assert status == 400 and body["error"]["class"] == "TypeError", active
+    assert server.profiler.ledger.world_state.get("10.0.0.0/24").active is False
+
+
+def test_http_refuses_a_fractional_asn_or_a_number_for_a_router(server):
+    # int(99.7) is 99, and str(99.0) names router 99.0: either would act for AS 99
+    enroll_and_profile(server)
+    blocks = server.profiler.ledger.chain_length
+    for payload in ({"router_id": "99.0", "prefix": "10.0.0.0/24", "asn": 99.7},
+                    {"router_id": "99.0", "prefix": "10.0.0.0/24", "asn": True},
+                    {"router_id": 99.0, "prefix": "10.0.0.0/24", "asn": 99}):
+        status, _ = call(server, "POST", "/prefix", payload)
+        assert status == 400, payload
+    assert server.profiler.ledger.world_state.get("10.0.0.0/24") is None
+    assert server.profiler.ledger.chain_length == blocks
+    status, _ = call(server, "POST", "/router/profile", {"router_id": "20.0", "asn": 20.0})
+    assert status == 400
+    assert RouterId(20) not in server.profiler.profiles
 
 
 def raw_post(server, content_length):

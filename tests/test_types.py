@@ -1,6 +1,9 @@
+import math
+import re
+
 import pytest
 
-from blockjack.types import Prefix, RouterId, check_asn
+from blockjack.types import Prefix, RouterId, check_asn, flag, integer, number
 
 
 def test_prefix_normalizes_host_bits():
@@ -105,3 +108,47 @@ def test_identifiers_are_immutable():
             setattr(obj, field, 0)
     with pytest.raises(AttributeError):
         p.extra = 1
+
+
+def test_integer_takes_an_int_or_its_text():
+    assert integer(7, "id") == 7
+    assert integer("007", "id") == 7
+    for bad in (True, False, 7.0, 99.7, math.inf):
+        message = re.escape(f"id must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            integer(bad, "id")
+    with pytest.raises(ValueError):
+        integer("99.7", "id")
+    with pytest.raises(TypeError):
+        integer(None, "id")
+
+
+def test_number_takes_a_finite_int_or_float():
+    assert number(2, "t") == 2.0 and isinstance(number(2, "t"), float)
+    assert number(0.5, "t") == 0.5
+    for bad in (True, "0.5", "nan", None, [1]):
+        with pytest.raises(TypeError, match=re.escape(f"t must be a number, got {bad!r}")):
+            number(bad, "t")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            number(bad, "t")
+    with pytest.raises(OverflowError):
+        number(10**400, "t")
+
+
+def test_flag_takes_a_json_bool_only():
+    assert flag(True, "active") is True and flag(False, "active") is False
+    for bad in ("false", "true", 0, 1, None):
+        message = re.escape(f"active must be true or false, got {bad!r}")
+        with pytest.raises(TypeError, match=message):
+            flag(bad, "active")
+
+
+@pytest.mark.parametrize("value", [10.0, 10, True, None, [10, 0]],
+                         ids=["float", "int", "bool", "null", "list"])
+def test_identifier_parsers_refuse_anything_but_text(value):
+    # str() would have read the float 10.0 as router 10.0
+    with pytest.raises(TypeError, match="expected asn.index text"):
+        RouterId.parse(value)
+    with pytest.raises(TypeError, match="expected a.b.c.d/len text"):
+        Prefix.parse(value)
