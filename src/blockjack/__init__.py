@@ -8,7 +8,7 @@ from .bgp import (
     UpdateMessage,
     select_best,
 )
-from .dispatcher import Dispatcher, DispatcherConfig, OriginEntry, scan
+from .dispatcher import Dispatcher, OriginEntry, scan
 from .harness import (
     AttackRecord,
     ScenarioConfig,
@@ -28,7 +28,7 @@ from .ledger import (
     VerificationSignal,
     estimate_authorization_cost,
 )
-from .profiler import GatewayRequest, Profiler, Wallet
+from .profiler import GatewayRequest, Profiler
 from .topology import gen_topology
 from .types import Prefix, RouterId, check_asn
 
@@ -41,7 +41,6 @@ __all__ = [
     "CostModel",
     "Credential",
     "Dispatcher",
-    "DispatcherConfig",
     "FilterRule",
     "GatewayRequest",
     "LedgerRecord",
@@ -56,7 +55,6 @@ __all__ = [
     "Simulation",
     "UpdateMessage",
     "VerificationSignal",
-    "Wallet",
     "check_asn",
     "estimate_authorization_cost",
     "gen_topology",

@@ -245,8 +245,9 @@ class Simulation:
     """A deterministic event-driven network of path-vector routers."""
 
     def __init__(self, mari: float = DEFAULT_MARI):
-        if mari <= 0:
-            raise ValueError("advertisement interval must be positive")
+        if not 0 < mari < math.inf:
+            raise ValueError(f"advertisement interval must be positive and finite, "
+                             f"got {mari}")
         self.clock = SimClock(0.0, mari)
         self.routers: dict[RouterId, Router] = {}
         self._queue: list[float] = []       # heap of the times in _buckets

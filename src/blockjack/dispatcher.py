@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -39,17 +40,6 @@ class OriginEntry(NamedTuple):
     prefix: Prefix
     origin: int
     next_hop: RouterId
-
-
-@dataclass
-class DispatcherConfig:
-    home_router: RouterId
-    scan_interval: float = 1.0
-    treat_unknown_as_valid: bool = True
-
-    def __post_init__(self):
-        if self.scan_interval <= 0:
-            raise ValueError("scan_interval must be positive")
 
 
 @dataclass
@@ -87,14 +77,23 @@ def scan(snapshot: list[dict], own_asn: int) -> tuple[set[OriginEntry], set[Orig
 
 
 class Dispatcher:
-    """Monitor/sender/verifier loop for one home router."""
+    """Monitor/sender/verifier loop for one home router.
 
-    def __init__(self, sim: Simulation, gateway: Profiler, config: DispatcherConfig):
+    A prefix the ledger does not know (an UNKNOWN answer) is accepted:
+    the paper's conservative approach towards non-participant ASes.
+    """
+
+    def __init__(self, sim: Simulation, gateway: Profiler, home: RouterId,
+                 scan_interval: float = 1.0):
+        # a chained comparison, which NaN fails as well as the infinities
+        if not 0 < scan_interval < math.inf:
+            raise ValueError(f"scan_interval must be positive and finite, "
+                             f"got {scan_interval}")
         self.sim = sim
         self.gateway = gateway
-        self.config = config
-        self.home = config.home_router
-        self.own_asn = config.home_router.asn
+        self.home = home
+        self.own_asn = home.asn
+        self.scan_interval = scan_interval
         # triples seen at the last scan: own-AS (ROA) and neighbor-announced (ROV)
         self.roa_cache: set[OriginEntry] = set()
         self.rov_cache: set[OriginEntry] = set()
@@ -191,10 +190,7 @@ class Dispatcher:
                 continue
             report.verifies += 1
             signal = answer.signal
-            accepted = signal is VerificationSignal.VALID or (
-                signal is VerificationSignal.UNKNOWN
-                and self.config.treat_unknown_as_valid)
-            if accepted:
+            if signal is not VerificationSignal.INVALID:
                 results.append((entry, signal, ACCEPT))
                 continue
             rule = FilterRule(neighbor=entry.next_hop, deny_origin=entry.origin,
@@ -206,7 +202,7 @@ class Dispatcher:
 
     def schedule_ticks(self, until: float):
         """Queue ticks at every multiple of the scan interval up to `until`."""
-        step = self.config.scan_interval
+        step = self.scan_interval
         k = 0
         while k * step <= until:
             self.sim.schedule(k * step, lambda t=k * step: self.tick(t))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bgp import FilterRule, Route, Simulation
-from .dispatcher import Dispatcher, DispatcherConfig
+from .dispatcher import Dispatcher
 from .ledger import CALIBRATED_COST, CommitResult, ConsortiumLedger, CostModel
 from .profiler import ACTION_ADD, GatewayRequest, Profiler
 from .topology import KINDS, ScenarioTopology, gen_topology
@@ -263,8 +263,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioMetrics:
     for rid in topo.routers:
         profiler.create_router_profile(rid, admin)
 
-    dispatcher = Dispatcher(sim, profiler, DispatcherConfig(
-        home_router=topo.dispatcher, scan_interval=cfg.scan_interval))
+    dispatcher = Dispatcher(sim, profiler, topo.dispatcher, cfg.scan_interval)
     monitor = AttackMonitor(sim, topo.dispatcher)
     dispatcher.on_filter.append(monitor.on_filter)
 

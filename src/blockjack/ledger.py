@@ -266,8 +266,11 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("request_latency", "endorse_latency", "distribute_latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not isinstance(self.member_count, int) or isinstance(self.member_count, bool):
+            raise TypeError(f"member_count must be an integer, got {self.member_count!r}")
         if self.member_count < 1:
             raise ValueError("member_count must be >= 1")
 
@@ -300,15 +303,15 @@ class CertificateAuthority:
     """Issues and validates admin and router credentials."""
 
     def __init__(self):
+        # the one record of who holds which credential, in issue order
         self._issued: dict[str, Credential] = {}
-        self._minted = 0
 
     def _mint(self, subject: str, asn: Optional[int]) -> Credential:
         if subject in self._issued:
             raise CredentialError(f"subject already enrolled: {subject}")
-        self._minted += 1
+        serial = len(self._issued) + 1
         secret = hashlib.sha256(
-            f"{CA_NAME}|{subject}|{self._minted}".encode()).hexdigest()
+            f"{CA_NAME}|{subject}|{serial}".encode()).hexdigest()
         cred = Credential(subject=subject, asn=asn, secret=secret,
                           issued_by=CA_NAME)
         self._issued[subject] = cred

@@ -1,17 +1,15 @@
 """Gateway between dispatchers and the ledger.
 
-The profiler keeps each enrolled router's credential, also saved in its
-wallet of credentials.  Every request is authenticated against the
-claimed router's credential, equipped with it, and forwarded to the
-matching ledger operation.  Ownership-changing actions must claim the
-caller's own ASN; verification may ask about any ASN.
+The profiler keeps each enrolled router's credential.  Every request is
+authenticated against the claimed router's credential, equipped with
+it, and forwarded to the matching ledger operation.  Ownership-changing
+actions must claim the caller's own ASN; verification may ask about any
+ASN.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from .ledger import (
@@ -68,62 +66,27 @@ class GatewayRequest:
         return payload
 
 
-class Wallet:
-    """Credential store keyed by subject name; exact-match lookups."""
-
-    def __init__(self):
-        self.entries: dict[str, Credential] = {}
-
-    def put(self, cred: Credential):
-        self.entries[cred.subject] = cred
-
-    def get(self, subject: str) -> Credential:
-        try:
-            return self.entries[subject]
-        except KeyError:
-            raise AuthenticationError(f"no credential in wallet for {subject!r}") from None
-
-    def __contains__(self, subject: str) -> bool:
-        return subject in self.entries
-
-    def save(self, path) -> None:
-        doc = {subject: {"subject": c.subject, "asn": c.asn, "secret": c.secret,
-                         "issued_by": c.issued_by}
-               for subject, c in sorted(self.entries.items())}
-        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Wallet":
-        wallet = cls()
-        for entry in json.loads(Path(path).read_text()).values():
-            wallet.put(Credential(**entry))
-        return wallet
-
-
 class Profiler:
-    """Authenticating gateway; stateless apart from profiles and wallet.
+    """Authenticating gateway; stateless apart from its profiles.
 
     A router's profile is its credential: the credential's ``asn`` is the
-    AS the router may act for, and its ``subject`` is the wallet key.
+    AS the router may act for.  The ledger's CA keeps the record of every
+    credential it issued; ``profiles`` is only this gateway's index of them.
     """
 
     def __init__(self, ledger: ConsortiumLedger):
         self.ledger = ledger
-        self.wallet = Wallet()
         self.profiles: dict[RouterId, Credential] = {}
         self.stats = {"forwarded": 0, "rejected": 0}
 
     def enroll_admin(self, name: str) -> Credential:
-        cred = self.ledger.enroll_admin(name)
-        self.wallet.put(cred)
-        return cred
+        return self.ledger.enroll_admin(name)
 
     def create_router_profile(self, router_id: RouterId, admin: Credential) -> Credential:
         """Register the router with the ledger's CA; returns its credential."""
         if router_id in self.profiles:
             raise AuthenticationError(f"profile already exists for {router_id}")
         cred = self.ledger.register_router(router_id, admin)
-        self.wallet.put(cred)
         self.profiles[router_id] = cred
         return cred
 

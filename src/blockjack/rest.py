@@ -23,7 +23,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .ledger import CommitResult, CredentialError, Denial, VerifyResult
+from .ledger import CommitResult, Credential, CredentialError, Denial, VerifyResult
 from .profiler import (
     ACTION_ADD,
     ACTION_UPDATE,
@@ -76,7 +76,7 @@ class GatewayHTTPServer:
 
     def __init__(self, profiler: Profiler, host: str = "127.0.0.1", port: int = 0):
         self.profiler = profiler
-        self.admin_subject: str | None = None
+        self.admin: Credential | None = None   # the first enrolled admin
         self._lock = threading.Lock()
         outer = self
 
@@ -140,17 +140,16 @@ class GatewayHTTPServer:
         profiler = self.profiler
         if path == "/admin/enroll":
             cred = profiler.enroll_admin(payload["name"])
-            if self.admin_subject is None:
-                self.admin_subject = cred.subject
+            if self.admin is None:
+                self.admin = cred
             return {"status": "ok", "subject": cred.subject}
         if path == "/router/profile":
-            if self.admin_subject is None:
+            if self.admin is None:
                 raise AuthenticationError("no administrator enrolled")
-            admin = profiler.wallet.get(self.admin_subject)
             rid = RouterId.parse(payload["router_id"])
             if rid.asn != integer(payload["asn"], "asn"):
                 raise ValueError("router_id and asn fields disagree")
-            cred = profiler.create_router_profile(rid, admin)
+            cred = profiler.create_router_profile(rid, self.admin)
             return {"status": "ok", "router_id": cred.subject, "asn": cred.asn}
         if path == "/prefix":
             req = GatewayRequest.from_payload(ACTION_ADD, payload)

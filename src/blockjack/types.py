@@ -29,11 +29,23 @@ def check_asn(value: int) -> int:
 
 
 def integer(value, name: str) -> int:
-    """An int, or the text of one, refusing rather than truncating a bool
-    or a JSON number written with a fraction or an exponent."""
+    """An int, or its text in plain ASCII digits, refusing rather than
+    truncating a bool or a JSON number written with a fraction or an
+    exponent."""
     if isinstance(value, (bool, float)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, str):
+        return _digits(value, name)
     return int(value)
+
+
+def _digits(text: str, name: str) -> int:
+    """Plain ASCII digits only: ``int()`` would also take spaces,
+    underscores, a sign and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid literal for {name}: {text!r}; "
+                         f"expected plain digits")
+    return int(text)
 
 
 def number(value, name: str) -> float:
@@ -109,9 +121,9 @@ class RouterId(namedtuple("RouterId", "asn index")):
 
     @classmethod
     def parse(cls, text: str) -> "RouterId":
-        """Parse the ``asn.index`` wire form."""
-        asn, _, index = _text(text, "asn.index").partition(".")
-        return cls(int(asn), int(index or 0))
+        """Parse the ``asn.index`` wire form; a bare ``asn`` is index 0."""
+        asn, dot, index = _text(text, "asn.index").partition(".")
+        return cls(_digits(asn, "asn"), _digits(index, "router index") if dot else 0)
 
     def __str__(self) -> str:
         return f"{self.asn}.{self.index}"

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from blockjack.bgp import Route, select_best
 from blockjack.cli import main as cli_main
-from blockjack.dispatcher import ACCEPT, Dispatcher, DispatcherConfig, scan
+from blockjack.dispatcher import ACCEPT, Dispatcher, scan
 from blockjack.harness import ScenarioConfig, run_scenario
 from blockjack.ledger import (
     CALIBRATED_COST,
@@ -229,7 +229,7 @@ def test_criterion_6_ledger_correctness():
         assert (ledger.chain_length, ledger.world_state.version) == (length, version)
 
         # withdrawal/re-announcement flips the status bit, never adds a key
-        cred = profiler.wallet.get(str(rid10))
+        cred = profiler.profiles[rid10]
         keys = set(ledger.world_state.records)
         ledger.submit_status_update(str(prefix), 10, False, cred)
         assert set(ledger.world_state.records) == keys
@@ -284,13 +284,13 @@ def test_criterion_6_ledger_correctness():
 
 def test_criterion_7_signal_semantics():
     with criterion(7, "valid/invalid/unknown semantics, unknown accepted "
-                      "by the default dispatcher", limit_s=1.0):
+                      "by the dispatcher", limit_s=1.0):
         rid10 = RouterId(10)
         profiler = gateway_for(CostModel(0, 0, 0, 2), [rid10])
         owned = Prefix.parse("10.0.0.0/24")
         absent = Prefix.parse("192.168.5.0/24")
         add(profiler, rid10, owned)
-        cred = profiler.wallet.get(str(rid10))
+        cred = profiler.profiles[rid10]
         truth = {
             (owned, 10, True): VerificationSignal.VALID,
             (owned, 99, True): VerificationSignal.INVALID,
@@ -304,15 +304,14 @@ def test_criterion_7_signal_semantics():
             assert verify(profiler, rid10, prefix, asn).signal is expected, \
                 (str(prefix), asn, active)
 
-        # a non-participant announcement is tolerated under the default config
+        # a non-participant announcement is tolerated: the conservative approach
         home, peer = RouterId(101), RouterId(102)
         sim = Simulation()
         sim.add_router(home)
         sim.add_router(peer)
         sim.add_link(home, peer, 0.1)
         gateway = gateway_for(CostModel(0, 0, 0, 2), [home])
-        agent = Dispatcher(sim, gateway, DispatcherConfig(home_router=home))
-        assert agent.config.treat_unknown_as_valid  # the default
+        agent = Dispatcher(sim, gateway, home)
         sim.originate_prefix(peer, absent, 0.0)
         sim.run_until(60.0)
         rov_var = scan(sim.snapshot_table(home), 101)[1]

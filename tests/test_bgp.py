@@ -306,6 +306,16 @@ def test_run_until_refuses_a_non_finite_end_and_the_run_goes_on(t):
     assert best_row(sim, A, P2)["next_hop"] == B
 
 
+def test_simulation_refuses_a_non_positive_or_non_finite_interval():
+    # unchecked, a NaN interval fails only at the first run_until, with a bare
+    # "cannot convert float NaN to integer"
+    for mari in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="advertisement interval must be positive"):
+            Simulation(mari=mari)
+        with pytest.raises(ValueError, match="advertisement interval must be"):
+            load_topology(TOPOLOGY_DOC, mari=mari)
+
+
 class HeapQueue:
     """The reference queue: one heap of (time, seq, action) entries."""
 
@@ -1026,6 +1036,17 @@ FILTER = {"t": 1.0, "op": "install_filter",
      "events[0]: expected asn.index text, got 10.0"),
     (TOPOLOGY_DOC, [dict(ORIGINATE, args=dict(ORIGINATE["args"], prefix=167772160))],
      "events[0]: expected a.b.c.d/len text, got 167772160"),
+    # int() would read these as 10.10, 10.0 and 5.0
+    ({"routers": [{"id": "1_0", "asn": 10}]}, [],
+     "routers[0]: invalid literal for id: '1_0'; expected plain digits"),
+    ({"routers": [{"id": 0, "asn": " 10 "}]}, [],
+     "routers[0]: invalid literal for asn: ' 10 '; expected plain digits"),
+    ({"routers": [{"id": "+5", "asn": 10}]}, [],
+     "routers[0]: invalid literal for id: '+5'; expected plain digits"),
+    (TOPOLOGY_DOC, [dict(ORIGINATE, args=dict(ORIGINATE["args"], router=" 10.0"))],
+     "events[0]: invalid literal for asn: ' 10'; expected plain digits"),
+    (TOPOLOGY_DOC, [dict(FILTER, args=dict(FILTER["args"], deny_origin="+99"))],
+     "events[0]: invalid literal for deny_origin: '+99'; expected plain digits"),
 ], ids=["empty", "routers-not-list", "router-not-object", "router-lacks-asn",
         "router-id-not-numeric", "duplicate-router", "link-unknown-router",
         "link-delay-nan", "peering-lacks-local-pref", "event-lacks-t", "event-t-nan",
@@ -1042,7 +1063,8 @@ FILTER = {"t": 1.0, "op": "install_filter",
         "event-t-bool", "event-t-string", "event-t-nan-string", "link-delay-bool",
         "link-delay-string", "link-delay-nan-number", "filter-deny-origin-fraction",
         "filter-deny-origin-bool", "event-router-float", "filter-neighbor-float",
-        "event-prefix-number"])
+        "event-prefix-number", "router-id-underscore", "router-asn-spaces",
+        "router-id-sign", "event-router-space", "filter-deny-origin-sign"])
 def test_bad_topology_or_script_names_the_entry(doc, events, message):
     with pytest.raises(SimulationError) as excinfo:
         apply_event_script(load_topology(doc), events)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,8 +8,6 @@ from blockjack.bgp import Simulation
 from blockjack.dispatcher import (
     ACCEPT,
     Dispatcher,
-    DispatcherConfig,
-    FILTER,
     OriginEntry,
     scan,
 )
@@ -49,8 +48,8 @@ def tree_sim(mari=30.0, peered=False):
     return sim
 
 
-def dispatcher_on(sim, profiler, home=ROOT, **cfg):
-    return Dispatcher(sim, profiler, DispatcherConfig(home_router=home, **cfg))
+def dispatcher_on(sim, profiler, home=ROOT):
+    return Dispatcher(sim, profiler, home)
 
 
 def row(prefix, path, next_hop, best=True, valid=True):
@@ -180,9 +179,8 @@ def test_sender_error_leaves_entry_uncached_for_retry():
 
 
 def register_victim(profiler, owner_rid, prefix):
+    """Register ``prefix`` for ``owner_rid``, a router the gateway enrolled."""
     from blockjack.profiler import ACTION_ADD, GatewayRequest
-    if owner_rid not in profiler.profiles:
-        profiler.create_router_profile(owner_rid, profiler.wallet.get("admin"))
     req = GatewayRequest(action=ACTION_ADD, prefix=prefix,
                          asn=owner_rid.asn, claimed_router=owner_rid)
     return profiler.handle_request(req)
@@ -209,16 +207,6 @@ def test_verifier_unknown_accepted_by_default_config():
     results = agent.verifier_sync(scan(sim.snapshot_table(ROOT), 101)[1], 70.0)
     assert results[0][1] is VerificationSignal.UNKNOWN
     assert results[0][2] == ACCEPT
-
-
-def test_verifier_unknown_filtered_in_strict_mode():
-    sim = tree_sim()
-    profiler, _ = build_gateway(routers=[ROOT, V])
-    agent = dispatcher_on(sim, profiler, treat_unknown_as_valid=False)
-    sim.originate_prefix(V, P, 0.0)
-    sim.run_until(70.0)
-    results = agent.verifier_sync(scan(sim.snapshot_table(ROOT), 101)[1], 70.0)
-    assert results[0][2] == FILTER
 
 
 def test_verifier_filters_adversarial_origin():
@@ -332,7 +320,7 @@ def test_multi_path_hijack_filtered_path_by_path():
     t_first, t_second = installs[0][0], installs[1][0]
     assert t_second > t_first
     # the surfaced alternate was filtered on a later tick
-    assert t_second - t_first >= agent.config.scan_interval - 1e-9
+    assert t_second - t_first >= agent.scan_interval - 1e-9
     final = [r for r in sim.snapshot_table(ROOT) if r["is_best"]]
     assert all(r["as_path"][-1] != 103 for r in final)
     # steady state: the last reports are quiet
@@ -420,5 +408,9 @@ def test_cache_soundness_tracks_last_snapshot():
 
 
 def test_tick_config_validation():
-    with pytest.raises(ValueError):
-        DispatcherConfig(home_router=ROOT, scan_interval=0.0)
+    # NaN fails every comparison: unchecked, it schedules no tick at all
+    sim = tree_sim()
+    profiler, _ = build_gateway(routers=[ROOT])
+    for interval in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scan_interval must be positive and finite"):
+            Dispatcher(sim, profiler, ROOT, scan_interval=interval)

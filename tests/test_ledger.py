@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -203,6 +204,35 @@ def test_invalid_credential_raises():
         ledger.submit_authorization("10.0.0.0/24", 10, bogus)
     with pytest.raises(CredentialError):
         ledger.query_verify("10.0.0.0/24", 10, bogus)
+
+
+def test_secrets_follow_the_order_of_issue():
+    # each secret hashes the CA name, the subject and the credential's serial
+    # in issue order; a refused re-enrolment takes no serial
+    ledger = ConsortiumLedger()
+    admin = ledger.enroll_admin("admin")
+    with pytest.raises(CredentialError):
+        ledger.enroll_admin("admin")
+    secrets = [admin.secret,
+               ledger.register_router(RouterId(10, 1), admin).secret,
+               ledger.register_router(RouterId(20), admin).secret]
+    assert secrets == [
+        "b5a1e31053151f16b1071a38aa8c5a9897165e3a9b27bdd11ee3efb6cf88ac3d",
+        "bf3c069f16b18bc01e7a93c929bf7ca41b993687fa5cd37020f8c0f601276611",
+        "fb5df5e725496975eab289e7521b7153a2b37a48675fa2051ebc7adb5c975829",
+    ]
+
+
+def test_cost_model_refuses_a_non_finite_latency_or_a_non_integer_member_count():
+    for name in ("request_latency", "endorse_latency", "distribute_latency"):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+                replace(CALIBRATED_COST, **{name: bad})
+    for bad in (2.5, True, "2"):
+        with pytest.raises(TypeError, match="member_count must be an integer"):
+            replace(CALIBRATED_COST, member_count=bad)
+    with pytest.raises(ValueError, match="member_count must be >= 1"):
+        replace(CALIBRATED_COST, member_count=0)
 
 
 # -- status updates ---------------------------------------------------------

@@ -16,7 +16,6 @@ from blockjack.profiler import (
     AuthenticationError,
     GatewayRequest,
     Profiler,
-    Wallet,
 )
 from blockjack.types import Prefix, RouterId
 
@@ -40,10 +39,11 @@ def add_req(asn=10, router=R1, prefix=PFX):
 
 
 def test_profile_creation_and_wallet():
-    profiler = make_gateway()
-    assert str(R1) in profiler.wallet
+    profiler = Profiler(ConsortiumLedger(cost_model=MODEL))
+    admin = profiler.enroll_admin("admin-as10")
+    profiler.create_router_profile(R1, admin)
+    assert profiler.profiles[R1].subject == str(R1)
     assert profiler.profiles[R1].asn == 10
-    admin = profiler.wallet.get("admin-as10")
     with pytest.raises(AuthenticationError):
         profiler.create_router_profile(R1, admin)
 
@@ -157,7 +157,7 @@ def test_replay_against_fresh_profiler_is_identical():
 
 
 def test_one_profiler_per_as_sharing_a_ledger():
-    # deployment style: each AS runs its own gateway and wallet, all of
+    # deployment style: each AS runs its own gateway, all of
     # them bound to the same consortium ledger
     ledger = ConsortiumLedger(cost_model=MODEL)
     gw10, gw99 = Profiler(ledger), Profiler(ledger)
@@ -175,14 +175,6 @@ def test_one_profiler_per_as_sharing_a_ledger():
     with pytest.raises(AuthenticationError):
         gw10.handle_request(GatewayRequest(
             action=ACTION_VERIFY, prefix=PFX, asn=10, claimed_router=R2))
-
-
-def test_wallet_persistence_roundtrip(tmp_path):
-    profiler = make_gateway()
-    path = tmp_path / "wallet.json"
-    profiler.wallet.save(path)
-    restored = Wallet.load(path)
-    assert restored.entries == profiler.wallet.entries
 
 
 def test_request_codec_roundtrip():

@@ -159,6 +159,19 @@ def test_http_refuses_a_fractional_asn_or_a_number_for_a_router(server):
     assert RouterId(20) not in server.profiler.profiles
 
 
+def test_http_verify_query_takes_plain_digits_only(server):
+    # a '+' in a query is a space, and int() reads each of these as AS 10
+    enroll_and_profile(server)
+    call(server, "POST", "/prefix",
+         {"router_id": "10.0", "prefix": "10.0.0.0/24", "asn": 10})
+    for asn in ("+10", "%2B10", "1_0", "010%20"):
+        status, body = call(server, "GET",
+                            f"/prefix?prefix=10.0.0.0/24&asn={asn}&router_id=10.0")
+        assert status == 400 and body["error"]["class"] == "ValueError", asn
+    status, _ = call(server, "GET", "/prefix?prefix=10.0.0.0/24&asn=10&router_id=+10.0")
+    assert status == 400
+
+
 def raw_post(server, content_length):
     """POST /admin/enroll claiming `content_length`, sending no body."""
     host, port = server._server.server_address[:2]

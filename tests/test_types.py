@@ -37,6 +37,12 @@ def test_router_id_parse_and_order():
     rid = RouterId.parse("64512.3")
     assert rid == RouterId(64512, 3)
     assert str(rid) == "64512.3"
+    assert RouterId.parse("007.3") == RouterId(7, 3)
+    # int() would read the first four as 10.10, 5.1, 10.1 and 10.1
+    assert RouterId.parse("10") == RouterId(10, 0)
+    for bad in (" 10 .1_0", "+5.1", "10.+1", "\uff11\uff10.1", "10.1.2", "-3.1", "10."):
+        with pytest.raises(ValueError, match="expected plain digits"):
+            RouterId.parse(bad)
     assert RouterId(10, 0) < RouterId(10, 1) < RouterId(11, 0)
     with pytest.raises(ValueError):
         RouterId(0, 0)
@@ -117,8 +123,10 @@ def test_integer_takes_an_int_or_its_text():
         message = re.escape(f"id must be an integer, got {bad!r}")
         with pytest.raises(ValueError, match=message):
             integer(bad, "id")
-    with pytest.raises(ValueError):
-        integer("99.7", "id")
+    for bad in ("99.7", "1_0", " 10 ", "+5", "-5", "\u00b2", ""):
+        message = re.escape(f"invalid literal for id: {bad!r}; expected plain digits")
+        with pytest.raises(ValueError, match=message):
+            integer(bad, "id")
     with pytest.raises(TypeError):
         integer(None, "id")
 
