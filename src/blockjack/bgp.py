@@ -50,7 +50,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from .types import Prefix, RouterId, check_asn, integer, number
 
@@ -195,21 +195,30 @@ class SimClock:
         return self.mari_interval * max(1, k)
 
 
-def select_best(candidates: list[Route]) -> Optional[Route]:
-    """Pick the unique winner among valid candidates for one prefix.
+def select_best(candidates: Collection[Route]) -> Optional[Route]:
+    """Pick the unique winner among the valid candidates for one prefix.
 
     Ranks by each route's ``rank`` (see :func:`route_rank`), built once
-    when the route was.  ``min`` keeps the first of equal keys, so among
-    equal values the first candidate wins, and two ``Route`` objects are
-    never compared.
+    when the route was.  ``candidates`` may be any collection that can
+    be iterated twice, such as a table's ``dict.values()``, so a caller
+    need not copy its table: the minimum over all candidates is taken
+    first, and only when that winner is invalid is the minimum over the
+    valid ones taken.  Both give the same winner, since a valid overall
+    minimum is also the minimum of the valid candidates.  ``min`` keeps
+    the first of equal keys, so among equal values the first candidate
+    wins, and two ``Route`` objects are never compared.
 
     Mutates nothing; the caller records the winner in ``Router.best``.
     Pure in the candidate multiset: permutation-invariant and
-    idempotent. Returns None for no candidates.
+    idempotent.  Returns None when no candidate is valid.
     """
     if not candidates:
         return None
-    return min(candidates, key=_rank_of)
+    best = min(candidates, key=_rank_of)
+    if best.is_valid:
+        return best
+    return min((route for route in candidates if route.is_valid), key=_rank_of,
+               default=None)
 
 
 class Router:
@@ -408,9 +417,10 @@ class Simulation:
         if router.filters and (sender, path[-1]) in router.filters:
             log.debug("%s drops %s from %s: inbound filter", rid, prefix, sender)
             return ("dropped-filter", None)
-        local_pref = router.local_pref_in.get(sender, route.local_pref)
-        if local_pref != route.local_pref:
-            route = replace(route, local_pref=local_pref)
+        if router.local_pref_in:
+            local_pref = router.local_pref_in.get(sender, route.local_pref)
+            if local_pref != route.local_pref:
+                route = replace(route, local_pref=local_pref)
         table = router.rib.get(prefix)
         if table is None:
             table = router.rib[prefix] = {}
@@ -459,24 +469,28 @@ class Simulation:
         self._after_table_change(router, prefix)
 
     def _after_table_change(self, router: Router, prefix: Prefix):
-        """Re-run selection over the router's valid routes for one prefix.
+        """Re-run selection over the router's table for one prefix.
 
-        Every change to a router's ``rib`` or ``best`` ends here, so this
-        is where its cached snapshot rows are dropped.  On a change of
-        best, queues the re-advertisement, tells the ``on_best_change``
-        listeners and returns (old, new); else None.
+        The table's ``values()`` view goes to :func:`select_best` as it
+        is, and that skips invalid routes itself, so a selection copies
+        no route list.  Every change to a router's ``rib`` or ``best``
+        ends here, so this is where its cached snapshot rows are dropped.
+        On a change of best, queues the re-advertisement, tells the
+        ``on_best_change`` listeners and returns (old, new); else None.
         """
         router._rows = None
         old = router.best.get(prefix)
         table = router.rib.get(prefix) or {}
-        new = select_best([r for r in table.values() if r.is_valid])
+        new = select_best(table.values())
         if new is None:
             router.best.pop(prefix, None)
             if not table:
                 router.rib.pop(prefix, None)
+        elif new is old:
+            return None
         else:
             router.best[prefix] = new
-        if new is old or new == old:
+        if new == old:
             return None
         router.pending.add(prefix)
         self._schedule_flush(router)

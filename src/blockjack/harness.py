@@ -54,6 +54,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ScenarioError(f"unknown scenario kind: {self.kind}")
+        for name in ("routers", "adversarial_prefixes", "seed", "trial"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
         if self.routers < 3:
             raise ScenarioError(f"need at least 3 routers, got {self.routers}")
         if self.adversarial_prefixes < 1:

@@ -109,7 +109,12 @@ class Block:
         }
 
     def compute_hash(self) -> str:
-        return digest(self.body())
+        """The sha256 hex digest of ``canonical_bytes(self.body())``.
+
+        The bytes are rendered straight from the block's fields (see
+        :func:`_canonical_block`), not encoded from ``body()`` dicts.
+        """
+        return hashlib.sha256(_canonical_block(self)).hexdigest()
 
     def seal(self) -> "Block":
         self.hash = self.compute_hash()
@@ -127,19 +132,18 @@ def canonical_bytes(obj) -> bytes:
     return len(payload).to_bytes(8, "big") + payload
 
 
-def digest(obj) -> str:
-    return hashlib.sha256(canonical_bytes(obj)).hexdigest()
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json_value(value) -> str:
-    """One scalar of the dump as ``json.dumps`` renders it.
+    """One scalar as ``json.dumps`` and the canonical encoder both render it.
 
     Strings, ints, bools and finite floats take the C paths ``json``
-    itself takes for them; NaN, the infinities, None and anything else
-    go through ``json.dumps``.
+    itself takes for them, and None is ``null``; NaN, the infinities and
+    anything else go through the canonical encoder, so a block's hash
+    text is exact for any value.  A container field, which ``load``
+    never accepts, is thus rendered compact and key-sorted, in the dump
+    as in the hash.
     """
     kind = type(value)
     if kind is str:
@@ -150,7 +154,39 @@ def _json_value(value) -> str:
         return "true" if value else "false"
     if kind is float and math.isfinite(value):
         return float.__repr__(value)
-    return json.dumps(value)
+    if value is None:
+        return "null"
+    return _CANONICAL_ENCODER.encode(value)
+
+
+def _canonical_block(block: Block) -> bytes:
+    """``canonical_bytes(block.body())``, rendered from the block's fields.
+
+    Keys are written in sorted order, as ``to_json`` writes the dump, so
+    no ``body()`` dicts are built for the encoder to walk.  The bytes are
+    the same for every block, hand-built ones included, since
+    ``_json_value`` sends any value that is not a plain scalar through
+    the canonical encoder itself.
+    """
+    pieces = [f'{{"index":{_json_value(block.index)},'
+              f'"prev_hash":{_json_value(block.prev_hash)},"transactions":[']
+    append = pieces.append
+    sep = ""
+    for tx in block.transactions:
+        record = tx.record
+        append(f'{sep}{{"endorsements":[{",".join(map(_json_value, tx.endorsements))}],'
+               f'"kind":{_json_value(tx.kind)},'
+               f'"record":{{"active":{_json_value(record.active)},'
+               f'"asn":{_json_value(record.asn)},'
+               f'"doc_type":{_json_value(record.doc_type)},'
+               f'"prefix":{_json_value(record.prefix)}}},'
+               f'"submitted_at":{_json_value(tx.submitted_at)},'
+               f'"submitter":{_json_value(tx.submitter)},'
+               f'"submitter_asn":{_json_value(tx.submitter_asn)}}}')
+        sep = ","
+    append("]}")
+    payload = "".join(pieces).encode("utf-8")
+    return len(payload).to_bytes(8, "big") + payload
 
 
 def _record_json(record: LedgerRecord, pad: str) -> str:

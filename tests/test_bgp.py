@@ -177,6 +177,76 @@ def test_select_best_permutation_invariant_and_idempotent():
     assert select_best(routes) is first  # idempotent
 
 
+def test_select_best_passes_over_an_invalid_top_route():
+    top = mk(B, [20], weight=10)
+    top.is_valid = False
+    runner_up = mk(C, [30, 50, 40])
+    assert select_best([top, runner_up]) is runner_up
+    assert select_best([runner_up, top]) is runner_up
+
+
+def test_select_best_with_no_valid_candidate_is_none():
+    routes = [mk(B, [20, 40]), mk(C, [30, 40])]
+    for route in routes:
+        route.is_valid = False
+    assert select_best(routes) is None
+
+
+def test_select_best_takes_a_table_view():
+    top, valid = mk(A, [10], weight=10), mk(C, [30, 40])
+    top.is_valid = False
+    table = {A: top, B: mk(B, [20, 50, 40]), C: valid}
+    assert select_best(table.values()) is valid
+    assert select_best({}.values()) is None
+
+
+# a hub with four neighbors, each link's import local_pref overridden or not
+HUB = RouterId(10)
+SPOKES = [RouterId(asn) for asn in (20, 30, 40, 50)]
+
+# (kind, spoke, prefix, origin AS, extra hops, (weight, valid)); a withdraw
+# uses the spoke and prefix, a filter the spoke and origin.  Weight 10 ranks
+# a route above every weight-0 route, valid or not; origin 10 is the hub's
+# own AS, so that announce is dropped.  Announces outnumber the other steps,
+# so tables fill.
+hub_step = st.tuples(
+    st.sampled_from(["announce"] * 4 + ["withdraw"] * 2 + ["filter"]),
+    st.integers(0, 3), st.sampled_from([P1, P1, P2]),
+    st.sampled_from([60, 70, 60, 70, 10]), st.integers(0, 2),
+    st.sampled_from([(0, True), (10, False), (0, True), (0, False), (10, True)]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(overrides=st.dictionaries(st.integers(0, 3), st.sampled_from([50, 100, 300])),
+       steps=st.lists(hub_step, min_size=10, max_size=40))
+def test_best_is_the_brute_force_pick_of_the_valid_routes_after_every_update(
+        overrides, steps):
+    sim = Simulation(mari=1.0)
+    hub = sim.add_router(HUB)
+    for spoke in SPOKES:
+        sim.add_router(spoke)
+        sim.add_link(HUB, spoke)
+    for spoke, local_pref in overrides.items():
+        hub.local_pref_in[SPOKES[spoke]] = local_pref
+    for kind, spoke, prefix, origin, hops, (weight, valid) in steps:
+        sender = SPOKES[spoke]
+        if kind == "filter":
+            sim.install_inbound_filter(HUB, FilterRule(sender, origin, P1))
+            continue
+        route = None
+        if kind == "announce":
+            path = (sender.asn,) + tuple(range(100, 100 + hops)) + (origin,)
+            route = Route(prefix=prefix, next_hop=sender, as_path=path,
+                          weight=weight, is_valid=valid)
+        sim.process_update(HUB, UpdateMessage(ANNOUNCE if route else WITHDRAW, sender,
+                                              prefix, sim.clock.now, route))
+        for held in (P1, P2):
+            table = hub.rib.get(held, {})
+            expected = brute_force_best([r for r in table.values() if r.is_valid])
+            assert hub.best.get(held) is expected
+            assert (held in hub.best) == (expected is not None)
+
+
 @pytest.mark.parametrize("path", [(), (20, 30, 20), (20, 0), (20, MAX_ASN + 1)],
                          ids=["empty", "loop", "asn-zero", "asn-too-large"])
 def test_route_constructor_rejects_bad_paths(path):
@@ -1240,3 +1310,156 @@ def test_event_script_filter_op():
     ])
     sim.run_until(300.0)
     assert sim.snapshot_table(RouterId(20, 1)) == []
+
+
+# -- network-wide oracle -------------------------------------------------------
+
+
+def solved_routes(doc, origins, denied=None):
+    """The one stable state of the network, solved without the simulation.
+
+    ``origins`` maps each prefix to the one router that originates it.
+    The origin keeps its own route; every other router takes the least
+    (path length, next hop, path) over its neighbors' best routes as they
+    advertise them, skipping a path that holds its own ASN and the routes
+    that the filter ``denied`` = (router, neighbor, origin ASN) drops.
+    Shortest paths with a fixed tie-break have exactly one stable state,
+    which this iteration reaches from no routes.  Returns {(router,
+    prefix): (next hop, AS path)}.
+    """
+    by_id = {r["id"]: RouterId(r["asn"], r["id"]) for r in doc["routers"]}
+    rids = list(by_id.values())
+    adjacency = {rid: [] for rid in rids}
+    for link in doc["links"]:
+        a, b = by_id[link["a"]], by_id[link["b"]]
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    best = {}
+    for _ in range(4 * len(rids) + 4):
+        solved = {}
+        for prefix, origin in origins.items():
+            solved[origin, prefix] = (origin, (origin.asn,))
+            for rid in rids:
+                options = []
+                for neighbor in adjacency[rid]:
+                    held = best.get((neighbor, prefix))
+                    if rid == origin or held is None or (rid, neighbor, origin.asn) == denied:
+                        continue
+                    hop, path = held
+                    path = path if hop == neighbor else (neighbor.asn,) + path
+                    if rid.asn not in path:
+                        options.append((len(path), neighbor, path))
+                if options:
+                    solved[rid, prefix] = min(options)[1:]
+        if solved == best:
+            return best
+        best = solved
+    raise AssertionError("no fixed point")
+
+
+def simulated_routes(sim):
+    return {(rid, prefix): (route.next_hop, route.as_path)
+            for rid, router in sim.routers.items() for prefix, route in router.best.items()}
+
+
+def run_to_quiescence(sim):
+    sim.run_until(sim.clock.now + 1000.0)
+    assert not sim._queue
+
+
+@st.composite
+def routed_documents(draw):
+    """A connected topology document, one AS per router and no peering
+    overrides, and one originating router and time per prefix.
+
+    Each router past the first links to an earlier one, and a few more
+    links close cycles.  Two routers in one AS, and withdrawals, are left
+    to the ghost-route cases below: on those the plane keeps routes that
+    the solver does not find.
+    """
+    n = draw(st.integers(2, 9))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda pair: pair[0] < pair[1]), max_size=3)))
+    delays = st.sampled_from([0.0, 0.1, 0.35, 1.7, 3.0])
+    doc = {"routers": [{"id": i, "asn": 10 * (i + 1)} for i in range(n)],
+           "links": [{"a": a, "b": b, "delay_s": draw(delays)} for a, b in sorted(pairs)]}
+    origins = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                      st.sampled_from([0.0, 0.3, 2.0, 7.5])),
+                            min_size=1, max_size=3))
+    return doc, origins
+
+
+def originate_and_settle(doc, script):
+    """Load doc, apply the event script and run to quiescence."""
+    sim = load_topology(doc, mari=1.0)
+    apply_event_script(sim, script)
+    run_to_quiescence(sim)
+    return sim
+
+
+@settings(derandomize=True, deadline=None)
+@given(routed=routed_documents(), pick=st.tuples(st.integers(0, 8), st.integers(0, 8),
+                                                 st.integers(0, 2)))
+def test_network_converges_to_the_solved_routes_and_a_filter_removes_only_its_origin(
+        routed, pick):
+    """Every router's best route is the solver's, whatever the link delays
+    and origination times; then an inbound filter at one router changes no
+    route of another origin, and leaves none from its neighbor and origin."""
+    doc, origins = routed
+    # prefix i is originated by router origins[i][0] at time origins[i][1]
+    by_prefix = {Prefix.parse(f"10.{i}.0.0/16"): RouterId(10 * (index + 1), index)
+                 for i, (index, _) in enumerate(origins)}
+    sim = originate_and_settle(doc, [
+        {"t": t, "op": "originate", "args": {"router": str(rid), "prefix": str(prefix)}}
+        for (prefix, rid), (_, t) in zip(by_prefix.items(), origins)])
+    assert simulated_routes(sim) == solved_routes(doc, by_prefix)
+
+    rids = list(sim.routers)
+    rid = rids[pick[0] % len(rids)]
+    neighbors = sorted(sim.routers[rid].neighbors)
+    neighbor = neighbors[pick[1] % len(neighbors)]
+    prefixes = list(by_prefix)
+    denied = by_prefix[prefixes[pick[2] % len(prefixes)]].asn
+    kept = {other: [row for row in sim.snapshot_table(other)
+                    if row["as_path"][-1] != denied] for other in rids}
+    sim.install_inbound_filter(rid, FilterRule(neighbor, denied, prefixes[0]))
+    run_to_quiescence(sim)
+    for other in rids:
+        rows = sim.snapshot_table(other)
+        assert [row for row in rows if row["as_path"][-1] != denied] == kept[other]
+    assert not [route for table in sim.routers[rid].rib.values()
+                for hop, route in table.items() if hop == neighbor and route.origin == denied]
+
+
+# An announce dropped for a loop leaves the sender's earlier route in the
+# receiver's table, where it can win later although the sender no longer
+# advertises it.  In the triangle, once the origin withdraws, 20.1 and 30.2
+# keep routes through each other.  In the second network, 50.4 keeps the
+# first route of 40.3, (40, 60, 20), after 40.3 moves to a path through
+# 50.0, the other router of AS 50.  The solver finds no route in either.
+GHOST_ROUTES = {
+    "withdrawn-origin": (
+        {"routers": [{"id": 0, "asn": 10}, {"id": 1, "asn": 20}, {"id": 2, "asn": 30}],
+         "links": [{"a": 0, "b": 1}, {"a": 1, "b": 2}, {"a": 0, "b": 2}]},
+        [{"t": 0.0, "op": "originate", "args": {"router": "10.0", "prefix": "10.0.0.0/16"}},
+         {"t": 100.0, "op": "withdraw", "args": {"router": "10.0", "prefix": "10.0.0.0/16"}}],
+        {}),
+    "shared-as": (
+        {"routers": [{"id": 0, "asn": 50}, {"id": 1, "asn": 20}, {"id": 3, "asn": 40},
+                     {"id": 4, "asn": 50}, {"id": 5, "asn": 60}],
+         "links": [{"a": 0, "b": 1, "delay_s": 0.0}, {"a": 0, "b": 3, "delay_s": 0.1},
+                   {"a": 1, "b": 5, "delay_s": 0.0}, {"a": 3, "b": 4, "delay_s": 0.0},
+                   {"a": 3, "b": 5, "delay_s": 0.0}]},
+        [{"t": 0.0, "op": "originate", "args": {"router": "20.1", "prefix": "10.0.0.0/16"}}],
+        {Prefix.parse("10.0.0.0/16"): RouterId(20, 1)}),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an announce dropped for a loop keeps the sender's earlier route")
+@pytest.mark.parametrize("case", sorted(GHOST_ROUTES))
+def test_a_dropped_announce_leaves_no_route_of_its_sender(case):
+    doc, script, origins = GHOST_ROUTES[case]
+    sim = originate_and_settle(doc, script)
+    assert simulated_routes(sim) == solved_routes(doc, origins)

@@ -43,6 +43,16 @@ def test_config_validation():
         ScenarioConfig(kind="random", duration=0)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("routers", 20.5), ("routers", True), ("routers", "20"),
+    ("adversarial_prefixes", 2.5), ("adversarial_prefixes", False),
+    ("seed", 1.5), ("seed", True), ("seed", None), ("trial", 0.5), ("trial", "0"),
+])
+def test_config_refuses_a_count_seed_or_trial_that_is_not_an_integer(name, value):
+    with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
+        ScenarioConfig(kind="random", **{name: value})
+
+
 def test_connectivity_default_rule():
     assert ScenarioConfig(kind="random", routers=20).resolved_connectivity == 0.5
     assert ScenarioConfig(kind="random", routers=50).resolved_connectivity == 0.25

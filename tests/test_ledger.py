@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from blockjack.ledger import (
     Transaction,
     VerificationSignal,
     WorldState,
+    _canonical_block,
     canonical_bytes,
     chaincode_evaluate,
     estimate_authorization_cost,
@@ -397,8 +399,38 @@ def test_any_single_byte_flip_changes_digest():
         payload = canonical_bytes(block.body())
         pos = rng.randrange(len(payload))
         corrupted = payload[:pos] + bytes([payload[pos] ^ 0x01]) + payload[pos + 1:]
-        import hashlib
         assert hashlib.sha256(corrupted).hexdigest() != block.hash
+
+
+# Values of every type ``load`` accepts for each field: text with escapes
+# and non-ASCII characters, ints and floats for the submission time
+# (-0.0 and 1e-7 render as "-0.0" and "1e-07"), no submitter ASN, and
+# empty endorsements.
+hash_text = st.one_of(st.sampled_from(["", '"', "\\", "\u00e9\u2603", "\U0001f600", "\x00\n"]),
+                      st.text(max_size=8))
+hash_transaction = st.builds(
+    Transaction, hash_text,
+    st.builds(LedgerRecord, hash_text, st.integers(0, 2**32), hash_text, st.booleans()),
+    hash_text, st.one_of(st.none(), st.integers(-2**70, 2**70)),
+    st.lists(hash_text, max_size=4).map(tuple),
+    st.one_of(st.integers(-2**70, 2**70), st.floats(), st.sampled_from([-0.0, 1e-7, 1e300])))
+
+
+@settings(derandomize=True, deadline=None)
+@given(index=st.integers(0, 2**40), prev_hash=hash_text,
+       transactions=st.lists(hash_transaction, max_size=4))
+def test_block_bytes_rendered_from_fields_equal_the_encoded_body(index, prev_hash,
+                                                                   transactions):
+    block = Block(index, prev_hash, transactions)
+    assert _canonical_block(block) == canonical_bytes(block.body())
+    assert block.compute_hash() == hashlib.sha256(canonical_bytes(block.body())).hexdigest()
+
+
+def test_block_bytes_of_a_hand_built_non_scalar_field_equal_the_encoded_body():
+    odd = Transaction("register", LedgerRecord("10.0.0.0/24", [10, 2.5]), "admin",
+                      {"b": [None, -0.0], "a": "\u00e9"}, ["member-1", ("x", 1)], 3)
+    block = Block(1, GENESIS_PREV_HASH, [odd])
+    assert _canonical_block(block) == canonical_bytes(block.body())
 
 
 # -- export/import ------------------------------------------------------------
