@@ -29,15 +29,26 @@ path holding the receiver's ASN, and an advertisement only prepends the
 sender's ASN, which its ``RouterId`` has already checked.
 
 Each route carries its selection key, ``rank``, computed when the route
-is built.  A route never changes once built, so one object can sit in
-many tables; which route is best is recorded only in ``Router.best``.
-A caller that edits a ``Route`` after constructing it bypasses the
-checks and leaves ``rank`` stale, and ``process_update`` stores what it
-is given.  One advertisement serves every neighbor of the sender: each
-receiver stores the advert itself, unless an import ``local_pref``
-override applies, in which case it stores a copy ranked by the
-override; and one frozen ``UpdateMessage`` serves every neighbor at the
-same link delay, since it names no receiver.
+is built: one non-negative int that packs weight, local_pref, path
+length, MED and next hop as 32-bit fields, so best-path selection
+compares ints (see :func:`route_rank`).  The packing is exact because
+each field is bounded where it enters: ``Route(...)`` refuses a weight,
+local_pref or MED outside 0..2**32-1 and a next hop that is not a
+``RouterId``, which refuses an ASN or index outside that range, and a
+path of distinct ASNs is no longer than that.  The path itself is not
+in the key, so two routes through the same next hop that tie on the
+other fields rank equal and the first one seen wins; a table holds one
+route per next hop, so that never happens within one.
+
+A route never changes once built, so one object can sit in many tables;
+which route is best is recorded only in ``Router.best``.  A caller that
+edits a ``Route`` after constructing it bypasses the checks and leaves
+``rank`` stale, and ``process_update`` stores what it is given.  One
+advertisement serves every neighbor of the sender: each receiver stores
+the advert itself, unless an import ``local_pref`` override applies, in
+which case it stores a copy ranked by the override; and one frozen
+``UpdateMessage`` serves every neighbor at the same delivery time, since
+it names no receiver.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Collection, Optional
 
-from .types import Prefix, RouterId, check_asn, integer, number
+from .types import MAX_U32, Prefix, RouterId, check_asn, check_u32, integer, number
 
 log = logging.getLogger(__name__)
 
@@ -88,9 +99,14 @@ class Route:
     weight: int = 0
     metric: int = 0
     is_valid: bool = True
-    rank: tuple = field(init=False, repr=False, compare=False)
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.next_hop, RouterId):
+            raise TypeError(f"next_hop must be a RouterId, got {self.next_hop!r}")
+        check_u32(self.weight, "weight")
+        check_u32(self.local_pref, "local_pref")
+        check_u32(self.med, "med")
         if not self.as_path:
             raise ValueError("as_path must not be empty")
         if len(set(self.as_path)) != len(self.as_path):
@@ -124,34 +140,40 @@ class UpdateMessage:
 
 
 def route_rank(weight: int, local_pref: int, as_path: tuple[int, ...], med: int,
-               next_hop: RouterId) -> tuple:
+               next_hop: RouterId) -> int:
     """A route's selection key: the lower key is the more preferred route.
 
     The order: highest weight, then highest local_pref, then shortest AS
-    path, then lowest MED, then lowest next-hop router id; the AS path
-    itself makes the order total over distinct route values.
+    path, then lowest MED, then lowest next-hop router id.  The key packs
+    six 32-bit fields into one int, most significant first:
+    ``2**32-1-weight``, ``2**32-1-local_pref``, ``len(as_path)``, ``med``,
+    ``next_hop.asn`` and ``next_hop.index``.  Each field must lie in
+    0..2**32-1, as ``Route`` and ``RouterId`` check, so comparing two keys
+    compares those six-field tuples exactly.  The AS path itself is not
+    in the key: two routes through one next hop that tie on the first
+    four fields rank equal.
     """
-    return (-weight, -local_pref, len(as_path), med, next_hop, as_path)
+    asn, index = next_hop
+    return ((MAX_U32 - weight) << 160 | (MAX_U32 - local_pref) << 128
+            | len(as_path) << 96 | med << 64 | asn << 32 | index)
 
 
 _new_route = object.__new__
 _rank_of = attrgetter("rank")
-# Every advert has weight 0 and the default local_pref, so every advert's
-# rank starts with these same two objects.  Tuple comparison skips
-# identical elements without comparing them, so ranking adverts against
-# each other starts at the path length.
-_ADVERT_RANK_HEAD = route_rank(0, DEFAULT_LOCAL_PREF, (), 0, None)[:2]
+# Every advert has weight 0 and the default local_pref, so its rank is
+# this head with its path length, MED and sender added in.
+_ADVERT_RANK_HEAD = route_rank(0, DEFAULT_LOCAL_PREF, (), 0, (0, 0))
 
 
 def _unchecked_route(prefix: Prefix, next_hop: RouterId, as_path: tuple[int, ...],
                      local_pref: int, med: int, weight: int, metric: int,
-                     is_valid: bool, rank: tuple) -> Route:
+                     is_valid: bool, rank: int) -> Route:
     """A Route built without the path checks, for the plane's own adverts.
 
     Callers pass a loop-free path of checked ASNs; the module docstring
     says why each caller's path is one.  ``rank`` must equal
-    ``route_rank`` of the other fields; a caller passes one it already
-    holds instead of building an equal tuple.
+    ``route_rank`` of the other fields, which must be in its ranges; a
+    caller builds it from a constant head it already holds.
     """
     route = _new_route(Route)
     route.prefix = prefix
@@ -198,15 +220,18 @@ class SimClock:
 def select_best(candidates: Collection[Route]) -> Optional[Route]:
     """Pick the unique winner among the valid candidates for one prefix.
 
-    Ranks by each route's ``rank`` (see :func:`route_rank`), built once
-    when the route was.  ``candidates`` may be any collection that can
-    be iterated twice, such as a table's ``dict.values()``, so a caller
-    need not copy its table: the minimum over all candidates is taken
-    first, and only when that winner is invalid is the minimum over the
-    valid ones taken.  Both give the same winner, since a valid overall
-    minimum is also the minimum of the valid candidates.  ``min`` keeps
-    the first of equal keys, so among equal values the first candidate
-    wins, and two ``Route`` objects are never compared.
+    Ranks by each route's ``rank``, the int key :func:`route_rank` built
+    once when the route was, so ``min`` compares ints.  ``candidates`` may
+    be any collection that can be iterated twice, such as a table's
+    ``dict.values()``, so a caller need not copy its table: the minimum
+    over all candidates is taken first, and only when that winner is
+    invalid is the minimum over the valid ones taken.  Both give the same
+    winner, since a valid overall minimum is also the minimum of the
+    valid candidates.  ``min`` keeps the first of equal keys, so among
+    equal keys the first candidate wins: equal values, or two routes
+    through the same next hop with equal weight, local_pref, path length
+    and MED but different paths.  Two ``Route`` objects are never
+    compared.
 
     Mutates nothing; the caller records the winner in ``Router.best``.
     Pure in the candidate multiset: permutation-invariant and
@@ -508,9 +533,16 @@ class Simulation:
     def _flush(self, router: Router):
         router._scheduled_boundary = None
         pending, router.pending = sorted(router.pending), set()
-        neighbors = sorted(router.neighbors.items())
         sender, now = router.rid, self.clock.now
-        deliver, bucket_at = self.process_update, self._bucket
+        # the neighbors grouped by delivery time, each group in router id
+        # order; one message per group serves all of it, since it names no
+        # receiver, and each delivery is queued as schedule() would queue it
+        groups: dict[float, list[RouterId]] = {}
+        for neighbor, delay in sorted(router.neighbors.items()):
+            groups.setdefault(now + delay, []).append(neighbor)
+        targets = [(when, self._bucket(when), group) for when, group in groups.items()]
+        deliver = self.process_update
+        head = _ADVERT_RANK_HEAD | sender.asn << 32 | sender.index
         for prefix in pending:
             best = router.best.get(prefix)
             if best is None:
@@ -520,36 +552,37 @@ class Simulation:
                 path = router.advertised_path(best)
                 advert = _unchecked_route(
                     prefix, sender, path, DEFAULT_LOCAL_PREF, best.med, 0,
-                    best.metric, True,
-                    _ADVERT_RANK_HEAD + (len(path), best.med, sender, path))
-            # one message per link delay, since it names no receiver; each
-            # delivery is queued as schedule() would queue it
-            by_delay: dict[float, tuple[UpdateMessage, list]] = {}
-            for neighbor, delay in neighbors:
-                entry = by_delay.get(delay)
-                if entry is None:
-                    msg = UpdateMessage(kind, sender, prefix, now + delay, advert)
-                    entry = by_delay[delay] = (msg, bucket_at(msg.delivery_time))
-                msg, bucket = entry
-                bucket.append(partial(deliver, neighbor, msg))
+                    best.metric, True, head | len(path) << 96 | best.med << 64)
+            for when, bucket, group in targets:
+                msg = UpdateMessage(kind, sender, prefix, when, advert)
+                bucket.extend([partial(deliver, neighbor, msg) for neighbor in group])
 
 
 # -- external interfaces ----------------------------------------------------
 
 
-@contextmanager
-def _naming(what: str):
+# the errors a bad input entry raises, which _raise_named renames
+_ENTRY_ERRORS = (KeyError, SimulationError, TypeError, ValueError, OverflowError)
+
+
+def _raise_named(what: str, exc: Exception):
     """Re-raise a bad input entry's error as a SimulationError naming the entry.
 
     A missing key reads ``routers[0] lacks 'asn'``; a wrong type or value,
     or a contract violation the entry causes, keeps its own message.
     """
+    if isinstance(exc, KeyError):
+        raise SimulationError(f"{what} lacks {exc.args[0]!r}") from None
+    raise SimulationError(f"{what}: {exc}") from exc
+
+
+@contextmanager
+def _naming(what: str):
+    """Run the block, renaming its error as :func:`_raise_named` does."""
     try:
         yield
-    except KeyError as exc:
-        raise SimulationError(f"{what} lacks {exc.args[0]!r}") from None
-    except (SimulationError, TypeError, ValueError, OverflowError) as exc:
-        raise SimulationError(f"{what}: {exc}") from exc
+    except _ENTRY_ERRORS as exc:
+        _raise_named(what, exc)
 
 
 def _list_of(value, name: str) -> list:
@@ -586,14 +619,17 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     sim = Simulation(mari=mari)
     by_label: dict[str, RouterId] = {}
     shared: set[str] = set()   # bare indexes that more than one router has
-    for i, entry in enumerate(routers):
-        with _naming(f"routers[{i}]"):
+    # one try per list, not per entry; i names the entry that failed
+    try:
+        for i, entry in enumerate(routers):
             rid = RouterId(integer(entry["asn"], "asn"), integer(entry["id"], "id"))
             sim.add_router(rid)
             if str(rid.index) in by_label:
                 shared.add(str(rid.index))
             by_label[str(rid.index)] = rid
             by_label[str(rid)] = rid
+    except _ENTRY_ERRORS as exc:
+        _raise_named(f"routers[{i}]", exc)
 
     def resolve(label) -> RouterId:
         if isinstance(label, (bool, float)):
@@ -608,19 +644,24 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
                                   f"share that index; write it as asn.index")
         return by_label[key]
 
-    for i, link in enumerate(links):
-        with _naming(f"links[{i}]"):
+    try:
+        for i, link in enumerate(links):
             a, b = resolve(link["a"]), resolve(link["b"])
             if b in sim.routers[a].neighbors:
                 raise SimulationError(f"duplicate link between {a} and {b}")
             sim.add_link(a, b, number(link.get("delay_s", DEFAULT_LINK_DELAY), "delay_s"))
-    for i, override in enumerate(peering):
-        with _naming(f"peering[{i}]"):
+    except _ENTRY_ERRORS as exc:
+        _raise_named(f"links[{i}]", exc)
+    try:
+        for i, override in enumerate(peering):
             router = sim.routers[resolve(override["router"])]
             neighbor = resolve(override["neighbor"])
             if neighbor not in router.neighbors:
                 raise SimulationError(f"{neighbor} is not adjacent to {router.rid}")
-            router.local_pref_in[neighbor] = integer(override["local_pref"], "local_pref")
+            router.local_pref_in[neighbor] = check_u32(
+                integer(override["local_pref"], "local_pref"), "local_pref")
+    except _ENTRY_ERRORS as exc:
+        _raise_named(f"peering[{i}]", exc)
     return sim
 
 

@@ -5,9 +5,10 @@ equality and ordering run in C; each compares and hashes as the plain
 tuple of its fields.
 
 A field of a topology or script document or of an HTTP request is read
-through ``integer``, ``number``, ``flag``, ``check_asn`` or a ``parse``,
-never a bare ``int()``, ``float()`` or ``bool()``; each refuses a value
-with ``TypeError`` or ``ValueError``, never converting it by force.
+through ``integer``, ``number``, ``flag``, ``check_asn``, ``check_u32``
+or a ``parse``, never a bare ``int()``, ``float()`` or ``bool()``; each
+refuses a value with ``TypeError`` or ``ValueError``, never converting it
+by force.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import ipaddress
 import math
 from collections import namedtuple
 
-MAX_ASN = 4_294_967_295
+MAX_U32 = 4_294_967_295
+MAX_ASN = MAX_U32
 
 
 def check_asn(value: int) -> int:
@@ -25,6 +27,15 @@ def check_asn(value: int) -> int:
         raise TypeError(f"ASN must be an integer, got {value!r}")
     if not 1 <= value <= MAX_ASN:
         raise ValueError(f"ASN out of range 1..{MAX_ASN}: {value}")
+    return value
+
+
+def check_u32(value: int, name: str) -> int:
+    """Validate a four-octet unsigned field: an int in 0..2**32-1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value <= MAX_U32:
+        raise ValueError(f"{name} out of range 0..{MAX_U32}: {value}")
     return value
 
 
@@ -113,10 +124,7 @@ class RouterId(namedtuple("RouterId", "asn index")):
 
     def __new__(cls, asn: int, index: int = 0) -> "RouterId":
         check_asn(asn)
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise TypeError(f"router index must be an integer, got {index!r}")
-        if index < 0:
-            raise ValueError(f"router index must be >= 0: {index}")
+        check_u32(index, "router index")
         return tuple.__new__(cls, (asn, index))
 
     @classmethod

@@ -27,7 +27,7 @@ from blockjack.bgp import (
     snapshot_json,
 )
 from blockjack.topology import gen_topology
-from blockjack.types import MAX_ASN, Prefix, RouterId
+from blockjack.types import MAX_ASN, MAX_U32, Prefix, RouterId
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("172.16.0.0/20")
@@ -109,13 +109,35 @@ def test_select_best_equal_values_pick_first_in_list_order():
         assert select_best(order) is order[0]
 
 
+def test_select_best_same_next_hop_and_fields_picks_first_whatever_the_path():
+    # the path is not in the rank, so these tie although (20, 40) < (20, 50)
+    later_path, earlier_path = mk(B, [20, 50]), mk(B, [20, 40])
+    assert later_path.rank == earlier_path.rank
+    assert select_best([later_path, earlier_path]) is later_path
+    assert select_best([earlier_path, later_path]) is earlier_path
+
+
 def inline_key(r):
-    """The preference order written out from the route's own fields."""
-    return (-r.weight, -r.local_pref, len(r.as_path), r.med, r.next_hop, r.as_path)
+    """The preference order written out from the route's own fields; the
+    path is no tiebreak."""
+    return (-r.weight, -r.local_pref, len(r.as_path), r.med, r.next_hop)
+
+
+def assert_ranked_by_own_fields(routes):
+    """Each rank is route_rank of its route's fields, and ranks order the
+    routes as inline_key does."""
+    for route in routes:
+        assert route.rank == route_rank(route.weight, route.local_pref, route.as_path,
+                                        route.med, route.next_hop)
+    for a in routes:
+        for b in routes:
+            assert (a.rank < b.rank) == (inline_key(a) < inline_key(b))
+            assert (a.rank == b.rank) == (inline_key(a) == inline_key(b))
 
 
 def brute_force_best(candidates):
-    """Independent oracle: full sort of the attribute tuple."""
+    """Independent oracle: stable full sort of the attribute tuple, so the
+    first of equal keys wins."""
     if not candidates:
         return None
     return sorted(candidates, key=inline_key)[0]
@@ -254,6 +276,50 @@ def test_route_constructor_rejects_bad_paths(path):
         Route(prefix=P1, next_hop=B, as_path=path)
 
 
+@pytest.mark.parametrize("name", ["weight", "local_pref", "med"])
+@pytest.mark.parametrize("value", [-1, MAX_U32 + 1])
+def test_route_constructor_rejects_fields_outside_32_bits(name, value):
+    with pytest.raises(ValueError, match=f"{name} out of range 0..{MAX_U32}: {value}"):
+        Route(prefix=P1, next_hop=B, as_path=(20,), **{name: value})
+    assert getattr(Route(prefix=P1, next_hop=B, as_path=(20,), **{name: MAX_U32}),
+                   name) == MAX_U32
+
+
+def test_route_constructor_rejects_a_next_hop_that_is_not_a_router_id():
+    # a plain tuple skips RouterId's bounds, and an index of 2**33 would
+    # spill into the ASN's bits of the rank
+    with pytest.raises(TypeError, match="next_hop must be a RouterId"):
+        Route(prefix=P1, next_hop=(10, 2**33), as_path=(10,))
+
+
+def packed_fields(route):
+    """The six fields route_rank packs, most significant first."""
+    return (MAX_U32 - route.weight, MAX_U32 - route.local_pref, len(route.as_path),
+            route.med, route.next_hop.asn, route.next_hop.index)
+
+
+u32 = st.sampled_from([0, 1, MAX_U32 - 1, MAX_U32]) | st.integers(0, MAX_U32)
+# weight, local_pref, med, next-hop ASN, next-hop index
+RANK_FIELDS = (u32, u32, u32, st.integers(1, MAX_ASN), u32)
+paths = st.lists(st.integers(1, MAX_ASN), min_size=1, max_size=4, unique=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_rank_orders_routes_as_their_packed_fields(data):
+    first = data.draw(st.tuples(*RANK_FIELDS))
+    # each of the second route's fields is the first's or drawn afresh, so
+    # ties, next hops included, reach every field
+    second = data.draw(st.tuples(*(st.just(value) | strategy
+                                   for value, strategy in zip(first, RANK_FIELDS))))
+    a, b = (Route(prefix=P1, next_hop=RouterId(asn, index), as_path=tuple(data.draw(paths)),
+                  weight=weight, local_pref=local_pref, med=med)
+            for weight, local_pref, med, asn, index in (first, second))
+    assert (a.rank < b.rank) == (packed_fields(a) < packed_fields(b))
+    assert (a.rank == b.rank) == (packed_fields(a) == packed_fields(b))
+    assert 0 <= a.rank < 1 << 192
+
+
 def test_unchecked_route_sets_every_field_like_route():
     # _unchecked_route sets Route's slots by hand; a field it misses would
     # stay unset and raise AttributeError on first read
@@ -273,8 +339,7 @@ def test_rank_is_the_inline_key():
                                 route_rank(r.weight, r.local_pref, r.as_path,
                                            r.med, r.next_hop))
                for r in routes]
-    for route in routes:
-        assert route.rank == inline_key(route)
+    assert_ranked_by_own_fields(routes)
 
 
 def detour(override=None):
@@ -299,8 +364,7 @@ def test_plane_copies_rank_by_their_own_fields():
     stored = [route for router in sim.routers.values()
               for table in router.rib.values() for route in table.values()]
     assert any(route.local_pref == 200 for route in stored)
-    for route in stored:
-        assert route.rank == inline_key(route)
+    assert_ranked_by_own_fields(stored)
 
 
 def test_local_pref_override_lets_a_longer_path_win():
@@ -639,7 +703,8 @@ def test_receiver_with_override_stores_its_own_copy():
     stored = sim.routers[A].rib[P1][B]
     assert stored is not advert
     assert stored.local_pref == 250 and advert.local_pref == DEFAULT_LOCAL_PREF
-    assert stored.rank == inline_key(stored)
+    assert_ranked_by_own_fields([stored, advert])
+    assert stored.rank < advert.rank
 
 
 def test_filter_drops_matching_update():
@@ -1063,6 +1128,12 @@ FILTER = {"t": 1.0, "op": "install_filter",
     (dict(TOPOLOGY_DOC, peering=[{"router": "30.2", "neighbor": "10.0",
                                   "local_pref": 200}]), [],
      "peering[0]: 10.0 is not adjacent to 30.2"),
+    (dict(TOPOLOGY_DOC, peering=[{"router": "30.2", "neighbor": "20.1",
+                                  "local_pref": -1}]), [],
+     "peering[0]: local_pref out of range 0..4294967295: -1"),
+    (dict(TOPOLOGY_DOC, peering=[{"router": "30.2", "neighbor": "20.1",
+                                  "local_pref": 2**32}]), [],
+     "peering[0]: local_pref out of range 0..4294967295: 4294967296"),
     (TOPOLOGY_DOC, None, "script: 'events' is not a list"),
     (TOPOLOGY_DOC, 5, "script: 'events' is not a list"),
     (TOPOLOGY_DOC, {}, "script: 'events' is not a list"),
@@ -1126,7 +1197,8 @@ FILTER = {"t": 1.0, "op": "install_filter",
         "event-withdraws-unoriginated", "event-in-the-past", "filter-unknown-router",
         "filter-neighbor-not-adjacent", "filter-unknown-neighbor", "link-ambiguous-index",
         "peering-ambiguous-index", "peering-local-pref-fraction", "peering-local-pref-bool",
-        "peering-not-adjacent", "script-none", "script-number", "script-object",
+        "peering-not-adjacent", "peering-local-pref-negative",
+        "peering-local-pref-above-32-bits", "script-none", "script-number", "script-object",
         "link-delay-huge", "event-t-huge", "filter-deny-origin-inf", "links-object",
         "links-zero", "links-false", "links-null", "peering-object", "peering-null",
         "link-float-reference", "link-bool-reference", "peering-float-reference",

@@ -81,9 +81,12 @@ def test_identifiers_hash_as_their_field_tuples():
     lambda: RouterId(0), lambda: RouterId(asn=0, index=1),
     lambda: RouterId(10, -1), lambda: RouterId(index=-1, asn=10),
     lambda: RouterId(asn=1 << 32),
+    lambda: RouterId(10, 1 << 32), lambda: RouterId(index=1 << 32, asn=10),
+    lambda: RouterId.parse("10.4294967296"),
 ], ids=["prefix-host-bits", "prefix-host-bits-kw", "prefix-length",
         "prefix-length-kw", "prefix-base", "prefix-base-kw", "rid-asn",
-        "rid-asn-kw", "rid-index", "rid-index-kw", "rid-asn-large-kw"])
+        "rid-asn-kw", "rid-index", "rid-index-kw", "rid-asn-large-kw",
+        "rid-index-large", "rid-index-large-kw", "rid-index-large-text"])
 def test_identifier_checks_hold_for_positional_and_keyword_fields(make):
     with pytest.raises(ValueError):
         make()
