@@ -57,7 +57,6 @@ import heapq
 import json
 import logging
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import attrgetter
@@ -70,9 +69,6 @@ log = logging.getLogger(__name__)
 DEFAULT_MARI = 30.0
 DEFAULT_LINK_DELAY = 0.1
 DEFAULT_LOCAL_PREF = 100
-
-ANNOUNCE = "announce"
-WITHDRAW = "withdraw"
 
 
 class SimulationError(Exception):
@@ -124,19 +120,13 @@ class Route:
 
 @dataclass(frozen=True, slots=True)
 class UpdateMessage:
-    """An announce or withdraw in flight between two peers."""
+    """An update in flight between two peers: an announce of ``route``,
+    or a withdrawal of the prefix when ``route`` is None."""
 
-    kind: str
     sender: RouterId
     prefix: Prefix
     delivery_time: float
     route: Optional[Route] = None
-
-    def __post_init__(self):
-        if self.kind not in (ANNOUNCE, WITHDRAW):
-            raise ValueError(f"unknown update kind: {self.kind}")
-        if self.kind == ANNOUNCE and self.route is None:
-            raise ValueError("announce requires a route")
 
 
 def route_rank(weight: int, local_pref: int, as_path: tuple[int, ...], med: int,
@@ -421,20 +411,23 @@ class Simulation:
         new ``Route``, ranked by the override.  An announce must name
         its sender as next hop: tables are keyed by sender, so no route
         object then sits twice in one table, and exactly one row is best.
+        Its route must be for the message's prefix, the table it lands in.
         """
         router = self.routers.get(rid) or self._router(rid)
         assert msg.delivery_time == self.clock.now, "update delivered off-schedule"
-        sender, prefix = msg.sender, msg.prefix
-        if msg.kind == WITHDRAW:
+        sender, prefix, route = msg.sender, msg.prefix, msg.route
+        if route is None:
             table = router.rib.get(prefix)
             if table is not None and sender in table:
                 del table[sender]
                 return ("withdrawn", self._after_table_change(router, prefix))
             return ("no-op", None)
-        route = msg.route
         if route.next_hop != sender:
             raise SimulationError(f"announce from {sender} names next hop "
                                   f"{route.next_hop}")
+        if route.prefix != prefix:
+            raise SimulationError(f"announce from {sender} for {prefix} carries "
+                                  f"a route for {route.prefix}")
         path = route.as_path
         if router.asn in path:
             log.debug("%s drops %s: own ASN in path %s", rid, prefix, path)
@@ -546,15 +539,14 @@ class Simulation:
         for prefix in pending:
             best = router.best.get(prefix)
             if best is None:
-                kind, advert = WITHDRAW, None
+                advert = None
             else:
-                kind = ANNOUNCE
                 path = router.advertised_path(best)
                 advert = _unchecked_route(
                     prefix, sender, path, DEFAULT_LOCAL_PREF, best.med, 0,
                     best.metric, True, head | len(path) << 96 | best.med << 64)
             for when, bucket, group in targets:
-                msg = UpdateMessage(kind, sender, prefix, when, advert)
+                msg = UpdateMessage(sender, prefix, when, advert)
                 bucket.extend([partial(deliver, neighbor, msg) for neighbor in group])
 
 
@@ -574,15 +566,6 @@ def _raise_named(what: str, exc: Exception):
     if isinstance(exc, KeyError):
         raise SimulationError(f"{what} lacks {exc.args[0]!r}") from None
     raise SimulationError(f"{what}: {exc}") from exc
-
-
-@contextmanager
-def _naming(what: str):
-    """Run the block, renaming its error as :func:`_raise_named` does."""
-    try:
-        yield
-    except _ENTRY_ERRORS as exc:
-        _raise_named(what, exc)
 
 
 def _list_of(value, name: str) -> list:
@@ -612,10 +595,12 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     a peering between routers that are not linked are refused.  Raises
     SimulationError naming the first bad entry, e.g. ``links[2]``.
     """
-    with _naming("topology"):
+    try:
         routers = _list_of(doc["routers"], "routers")
         links = _list_of(doc.get("links", []), "links")
         peering = _list_of(doc.get("peering", []), "peering")
+    except _ENTRY_ERRORS as exc:
+        _raise_named("topology", exc)
     sim = Simulation(mari=mari)
     by_label: dict[str, RouterId] = {}
     shared: set[str] = set()   # bare indexes that more than one router has
@@ -675,12 +660,15 @@ def apply_event_script(sim: Simulation, events: list):
     before any is scheduled: a bad entry raises SimulationError naming
     it, e.g. ``events[3]``, and leaves the simulation as it was.
     """
-    with _naming("script"):
+    try:
         events = _list_of(events, "events")
+    except _ENTRY_ERRORS as exc:
+        _raise_named("script", exc)
     plan = []
     originated: dict[RouterId, set[Prefix]] = {}   # as the script leaves them
-    for i, event in enumerate(events):
-        with _naming(f"events[{i}]"):
+    # one try for the list, not per entry; i names the entry that failed
+    try:
+        for i, event in enumerate(events):
             t = number(event["t"], "t")
             if t < sim.clock.now:
                 raise SimulationError(f"cannot schedule at {t} before now={sim.clock.now}")
@@ -714,6 +702,8 @@ def apply_event_script(sim: Simulation, events: list):
                     raise SimulationError(f"{rid} does not originate {prefix}")
                 held.discard(prefix)
                 plan.append(partial(sim.withdraw_prefix, rid, prefix, t))
+    except _ENTRY_ERRORS as exc:
+        _raise_named(f"events[{i}]", exc)
     for schedule in plan:
         schedule()
 

@@ -127,14 +127,13 @@ class Dispatcher:
         return report
 
     def sender_sync(self, roa_var: set[OriginEntry], now: float,
-                    report: Optional[DispatcherReport] = None) -> list[tuple[OriginEntry, str]]:
+                    report: DispatcherReport) -> None:
         """Push announcements/withdrawals of own prefixes to the ledger.
 
-        Leaves ``roa_var`` as it is; ``roa_cache`` becomes a new set.
+        Counts what it did in ``report``.  Leaves ``roa_var`` as it is;
+        ``roa_cache`` becomes a new set.
         """
-        report = report if report is not None else DispatcherReport(now, str(self.home))
         next_entries = set(roa_var)
-        actions: list[tuple[OriginEntry, str]] = []
         for entry in sorted(roa_var - self.roa_cache):
             known = entry.prefix in self.registered
             req = self._own_request(ACTION_UPDATE if known else ACTION_ADD,
@@ -148,10 +147,8 @@ class Dispatcher:
                 continue
             if known:
                 report.status_updates += 1
-                actions.append((entry, "reactivate"))
             else:
                 report.adds += 1
-                actions.append((entry, "add"))
                 if isinstance(result, CommitResult):
                     self.registered.add(entry.prefix)
         for entry in sorted(self.roa_cache - roa_var):
@@ -164,18 +161,17 @@ class Dispatcher:
                 next_entries.add(entry)  # still owed; retry next tick
                 continue
             report.status_updates += 1
-            actions.append((entry, "deactivate"))
         self.roa_cache = next_entries
-        return actions
 
     def verifier_sync(self, rov_var: set[OriginEntry], now: float,
-                      report: Optional[DispatcherReport] = None
+                      report: DispatcherReport
                       ) -> list[tuple[OriginEntry, VerificationSignal, str]]:
         """Verify newly seen external triples; filter the invalid ones.
 
-        Leaves ``rov_var`` as it is; ``rov_cache`` becomes a new set.
+        Counts what it did in ``report`` and returns each verified
+        triple's answer and action.  Leaves ``rov_var`` as it is;
+        ``rov_cache`` becomes a new set.
         """
-        report = report if report is not None else DispatcherReport(now, str(self.home))
         next_entries = set(rov_var)
         results = []
         for entry in sorted(rov_var - self.rov_cache):
@@ -202,6 +198,8 @@ class Dispatcher:
 
     def schedule_ticks(self, until: float):
         """Queue ticks at every multiple of the scan interval up to `until`."""
+        if not math.isfinite(until):
+            raise ValueError(f"until must be finite, got {until}")
         step = self.scan_interval
         k = 0
         while k * step <= until:

@@ -62,6 +62,13 @@ class ScenarioConfig:
             raise ScenarioError(f"need at least 3 routers, got {self.routers}")
         if self.adversarial_prefixes < 1:
             raise ScenarioError("need at least one adversarial prefix")
+        for name in ("duration", "mari", "scan_interval", "link_delay", "attack_at",
+                     "connectivity"):
+            value = getattr(self, name)
+            if value is None and name in ("attack_at", "connectivity"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ScenarioError(f"{name} must be a number, got {value!r}")
         # chained comparisons, which NaN fails as well as the infinities
         for name in ("duration", "mari", "scan_interval"):
             value = getattr(self, name)
@@ -123,10 +130,7 @@ class Appearance:
 
 @dataclass
 class ScenarioMetrics:
-    kind: str
-    routers: int
-    seed: int
-    trial: int
+    config: ScenarioConfig
     records: list[AttackRecord]
     end_state_safe: bool
     collateral_ok: bool
@@ -303,10 +307,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioMetrics:
                         for prefix, owner in zip(prefixes, topo.victims))
 
     return ScenarioMetrics(
-        kind=cfg.kind,
-        routers=cfg.routers,
-        seed=cfg.seed,
-        trial=cfg.trial,
+        config=cfg,
         records=attacks,
         end_state_safe=end_state_safe,
         collateral_ok=collateral_ok,
@@ -326,11 +327,12 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def metrics_rows(metrics: ScenarioMetrics) -> list[list[str]]:
+    cfg = metrics.config
     rows = []
     for record in metrics.records:
         rows.append([
-            metrics.kind, str(metrics.routers), str(metrics.seed),
-            str(metrics.trial), str(record.prefix), str(record.adversary),
+            cfg.kind, str(cfg.routers), str(cfg.seed),
+            str(cfg.trial), str(record.prefix), str(record.adversary),
             _fmt(record.prepend_time), _fmt(record.neutralize_time),
             str(record.paths_filtered),
             "true" if record.no_impact else "false",
@@ -369,7 +371,7 @@ def summarize(metrics_list: list[ScenarioMetrics]) -> dict:
 
     records = [r for m in metrics_list for r in m.records]
     return {
-        "scenario": metrics_list[0].kind if metrics_list else None,
+        "scenario": metrics_list[0].config.kind if metrics_list else None,
         "trials": len(metrics_list),
         "attacks_injected": len(records),
         "impactful": sum(1 for r in records if not r.no_impact),

@@ -247,43 +247,30 @@ class WorldState:
                 for prefix in sorted(self.records)}
 
 
-@dataclass(frozen=True)
-class ChaincodeVerdict:
-    approved: bool
-    reason: Optional[str] = None
-
-
-_APPROVED = ChaincodeVerdict(True)
-_DENIED_CONFLICT = ChaincodeVerdict(False, REASON_CONFLICT)
-_DENIED_NOT_FOUND = ChaincodeVerdict(False, REASON_NOT_FOUND)
-_DENIED_CREDENTIAL_MISMATCH = ChaincodeVerdict(False, REASON_CREDENTIAL_MISMATCH)
-
-
-def chaincode_evaluate(tx: Transaction, state: WorldState) -> ChaincodeVerdict:
+def chaincode_evaluate(tx: Transaction, state: WorldState) -> Optional[str]:
     """The deterministic contract every member runs before endorsing.
 
     Registration passes on a free prefix or when re-activating an
     inactive record of the same owner; a status update passes only
     against an existing record of the same owner.  Never mutates state.
-    Verdicts are frozen and shared: every call returns one of four
-    module-level objects, one approval and one per denial reason.
+    Returns None when the transaction passes, else the denial reason.
     """
     if tx.submitter_asn != tx.record.asn:
-        return _DENIED_CREDENTIAL_MISMATCH
+        return REASON_CREDENTIAL_MISMATCH
     existing = state.get(tx.record.prefix)
     if tx.kind == KIND_REGISTER:
         if existing is None:
-            return _APPROVED
+            return None
         if not existing.active and existing.asn == tx.record.asn:
-            return _APPROVED  # re-activation path
-        return _DENIED_CONFLICT
+            return None  # re-activation path
+        return REASON_CONFLICT
     if tx.kind == KIND_UPDATE_STATUS:
         if existing is None:
-            return _DENIED_NOT_FOUND
+            return REASON_NOT_FOUND
         if existing.asn != tx.record.asn:
-            return _DENIED_CREDENTIAL_MISMATCH
-        return _APPROVED
-    return _DENIED_CONFLICT
+            return REASON_CREDENTIAL_MISMATCH
+        return None
+    return REASON_CONFLICT
 
 
 @dataclass(frozen=True)
@@ -335,38 +322,6 @@ def estimate_authorization_cost(model: CostModel) -> float:
     return model.authorization_cost()
 
 
-class CertificateAuthority:
-    """Issues and validates admin and router credentials."""
-
-    def __init__(self):
-        # the one record of who holds which credential, in issue order
-        self._issued: dict[str, Credential] = {}
-
-    def _mint(self, subject: str, asn: Optional[int]) -> Credential:
-        if subject in self._issued:
-            raise CredentialError(f"subject already enrolled: {subject}")
-        serial = len(self._issued) + 1
-        secret = hashlib.sha256(
-            f"{CA_NAME}|{subject}|{serial}".encode()).hexdigest()
-        cred = Credential(subject=subject, asn=asn, secret=secret,
-                          issued_by=CA_NAME)
-        self._issued[subject] = cred
-        return cred
-
-    def enroll_admin(self, name: str) -> Credential:
-        return self._mint(name, None)
-
-    def register_router(self, router_id: RouterId, admin: Credential) -> Credential:
-        if not self.is_valid(admin) or admin.asn is not None:
-            raise CredentialError("router registration requires a valid admin credential")
-        return self._mint(str(router_id), router_id.asn)
-
-    def is_valid(self, cred: Credential) -> bool:
-        """True only for the very credential issued to its subject, ASN
-        included, so a router cannot relabel its own to act for another AS."""
-        return self._issued.get(cred.subject) == cred
-
-
 @dataclass(frozen=True)
 class CommitResult:
     block_index: int
@@ -397,11 +352,11 @@ class ConsortiumMember:
         self.world_state = world_state
 
     def endorse(self, tx: Transaction) -> bool:
-        return chaincode_evaluate(tx, self.world_state).approved
+        return chaincode_evaluate(tx, self.world_state) is None
 
 
 class ConsortiumLedger:
-    """The ordering point: endorsement, block commit, and queries.
+    """The ordering point: credentials, endorsement, block commit, and queries.
 
     All mutations are serialized through this object; concurrent
     submitters must queue in arrival order.
@@ -409,7 +364,8 @@ class ConsortiumLedger:
 
     def __init__(self, cost_model: CostModel = CALIBRATED_COST):
         self.cost_model = cost_model
-        self.ca = CertificateAuthority()
+        # the one record of who holds which credential, in issue order
+        self._issued: dict[str, Credential] = {}
         self.world_state = WorldState()
         self.members = [ConsortiumMember(f"member-{i}", self.world_state)
                         for i in range(cost_model.member_count)]
@@ -420,14 +376,32 @@ class ConsortiumLedger:
 
     # -- identity ---------------------------------------------------------
 
+    def _mint(self, subject: str, asn: Optional[int]) -> Credential:
+        if subject in self._issued:
+            raise CredentialError(f"subject already enrolled: {subject}")
+        serial = len(self._issued) + 1
+        secret = hashlib.sha256(
+            f"{CA_NAME}|{subject}|{serial}".encode()).hexdigest()
+        cred = Credential(subject=subject, asn=asn, secret=secret,
+                          issued_by=CA_NAME)
+        self._issued[subject] = cred
+        return cred
+
     def enroll_admin(self, name: str) -> Credential:
-        return self.ca.enroll_admin(name)
+        return self._mint(name, None)
 
     def register_router(self, router_id: RouterId, admin: Credential) -> Credential:
-        return self.ca.register_router(router_id, admin)
+        if not self.is_valid(admin) or admin.asn is not None:
+            raise CredentialError("router registration requires a valid admin credential")
+        return self._mint(str(router_id), router_id.asn)
+
+    def is_valid(self, cred: Credential) -> bool:
+        """True only for the very credential issued to its subject, ASN
+        included, so a router cannot relabel its own to act for another AS."""
+        return self._issued.get(cred.subject) == cred
 
     def _require_credential(self, cred: Credential):
-        if not self.ca.is_valid(cred):
+        if not self.is_valid(cred):
             raise CredentialError(f"invalid credential for {cred.subject!r}")
         self.stats["credentialed_requests"] += 1
 
@@ -458,8 +432,7 @@ class ConsortiumLedger:
             # cost of a refused round: request plus the endorsement fan-out
             when = now + model.request_latency \
                 + model.endorsements_required * model.endorse_latency
-            verdict = chaincode_evaluate(draft, self.world_state)
-            reason = verdict.reason if not verdict.approved else REASON_CONSENSUS_FAILURE
+            reason = chaincode_evaluate(draft, self.world_state) or REASON_CONSENSUS_FAILURE
             self.stats["denials"] += 1
             return Denial(reason=reason, completed_at=when)
         tx = Transaction(kind, record, cred.subject, cred.asn, approvals, now)
@@ -591,11 +564,10 @@ class ConsortiumLedger:
         required = cost_model.endorsements_required
         for block in ledger.blocks:
             for tx in block.transactions:
-                verdict = chaincode_evaluate(tx, state)
-                if not verdict.approved:
+                reason = chaincode_evaluate(tx, state)
+                if reason is not None:
                     raise LedgerError(f"block {block.index}: the chaincode denies "
-                                      f"{tx.kind} of {tx.record.prefix!r} "
-                                      f"({verdict.reason})")
+                                      f"{tx.kind} of {tx.record.prefix!r} ({reason})")
                 if len(members.intersection(tx.endorsements)) < required:
                     raise LedgerError(f"block {block.index}: fewer than {required} "
                                       f"member endorsements")

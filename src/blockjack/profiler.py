@@ -70,7 +70,7 @@ class Profiler:
     """Authenticating gateway; stateless apart from its profiles.
 
     A router's profile is its credential: the credential's ``asn`` is the
-    AS the router may act for.  The ledger's CA keeps the record of every
+    AS the router may act for.  The ledger keeps the record of every
     credential it issued; ``profiles`` is only this gateway's index of them.
     """
 
@@ -83,7 +83,7 @@ class Profiler:
         return self.ledger.enroll_admin(name)
 
     def create_router_profile(self, router_id: RouterId, admin: Credential) -> Credential:
-        """Register the router with the ledger's CA; returns its credential."""
+        """Register the router with the ledger; returns its credential."""
         if router_id in self.profiles:
             raise AuthenticationError(f"profile already exists for {router_id}")
         cred = self.ledger.register_router(router_id, admin)

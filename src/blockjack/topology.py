@@ -143,6 +143,10 @@ def random_topology(n: int, connectivity: float, attacks: int, seed: int,
         raise TopologyError(f"need at least 3 routers, got {n}")
     if not 0.0 < connectivity <= 1.0:
         raise TopologyError(f"connectivity must be in (0, 1]: {connectivity}")
+    # the monitored router, one victim per attack and at least one adversary
+    if attacks > n - 2:
+        raise TopologyError(f"cannot place {attacks} attacks among {n} routers; "
+                            f"at most {n - 2} fit")
     for attempt in range(MAX_ATTEMPTS):
         rng = random.Random(f"topology:{seed}:{attempt}")
         edges = {(a, b) for a in range(n) for b in range(a + 1, n)

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from blockjack.bgp import Route, select_best
 from blockjack.cli import main as cli_main
-from blockjack.dispatcher import ACCEPT, Dispatcher, scan
+from blockjack.dispatcher import ACCEPT, Dispatcher, DispatcherReport, scan
 from blockjack.harness import ScenarioConfig, run_scenario
 from blockjack.ledger import (
     CALIBRATED_COST,
@@ -156,7 +156,8 @@ def _appearances_filtered_next_tick(metrics, scan):
                 if rule.neighbor == episode.next_hop
                 and rule.deny_origin == episode.origin
                 and tick < t <= tick + scan]
-        assert hits, (f"{metrics.kind} n={metrics.routers} seed={metrics.seed}: "
+        assert hits, (f"{metrics.config.kind} n={metrics.config.routers} "
+                      f"seed={metrics.config.seed}: "
                       f"episode {episode} not filtered after tick {tick}")
 
 
@@ -315,7 +316,7 @@ def test_criterion_7_signal_semantics():
         sim.originate_prefix(peer, absent, 0.0)
         sim.run_until(60.0)
         rov_var = scan(sim.snapshot_table(home), 101)[1]
-        results = agent.verifier_sync(rov_var, 60.0)
+        results = agent.verifier_sync(rov_var, 60.0, DispatcherReport(60.0, str(home)))
         assert results[0][1] is VerificationSignal.UNKNOWN
         assert results[0][2] == ACCEPT
         assert agent._filters_sent == set()

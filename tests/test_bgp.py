@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockjack.bgp import (
-    ANNOUNCE,
     DEFAULT_LOCAL_PREF,
     FilterRule,
     Route,
@@ -18,7 +17,6 @@ from blockjack.bgp import (
     Simulation,
     SimulationError,
     UpdateMessage,
-    WITHDRAW,
     _unchecked_route,
     apply_event_script,
     load_topology,
@@ -260,8 +258,7 @@ def test_best_is_the_brute_force_pick_of_the_valid_routes_after_every_update(
             path = (sender.asn,) + tuple(range(100, 100 + hops)) + (origin,)
             route = Route(prefix=prefix, next_hop=sender, as_path=path,
                           weight=weight, is_valid=valid)
-        sim.process_update(HUB, UpdateMessage(ANNOUNCE if route else WITHDRAW, sender,
-                                              prefix, sim.clock.now, route))
+        sim.process_update(HUB, UpdateMessage(sender, prefix, sim.clock.now, route))
         for held in (P1, P2):
             table = hub.rib.get(held, {})
             expected = brute_force_best([r for r in table.values() if r.is_valid])
@@ -662,7 +659,7 @@ def test_reorigination_restores_route():
 
 def test_loop_prevention_drops_and_leaves_table_unchanged():
     sim = line(A, B)
-    msg = UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1, delivery_time=0.0,
+    msg = UpdateMessage(sender=B, prefix=P1, delivery_time=0.0,
                         route=Route(prefix=P1, next_hop=B, as_path=(20, 10)))
     action, delta = sim.process_update(A, msg)
     assert action == "dropped-loop"
@@ -672,7 +669,7 @@ def test_loop_prevention_drops_and_leaves_table_unchanged():
 def test_receiver_stores_the_advert_itself():
     sim = line(A, B)
     advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
-    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
                                         delivery_time=0.0, route=advert))
     assert sim.routers[A].rib[P1][B] is advert
     # through the plane, both of A's neighbors hold A's one advert
@@ -686,19 +683,30 @@ def test_announce_must_name_its_sender_as_next_hop():
     # one advert object under two senders would make two rows best
     sim = triangle()
     advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
-    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
                                         delivery_time=0.0, route=advert))
     with pytest.raises(SimulationError):
-        sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=C, prefix=P1,
+        sim.process_update(A, UpdateMessage(sender=C, prefix=P1,
                                             delivery_time=0.0, route=advert))
     assert [row["is_best"] for row in sim.snapshot_table(A)] == [True]
+
+
+def test_announce_must_carry_a_route_for_its_own_prefix():
+    # a P2 route stored in P1's table would list a P2 row there, and the
+    # dispatcher's scan would hand that row to the verifier
+    sim = line(A, B)
+    advert = Route(prefix=P2, next_hop=B, as_path=(20, 40))
+    with pytest.raises(SimulationError, match="carries a route for 172.16.0.0/20"):
+        sim.process_update(A, UpdateMessage(B, P1, 0.0, advert))
+    assert sim.snapshot_table(A) == []
+    assert P1 not in sim.routers[A].rib
 
 
 def test_receiver_with_override_stores_its_own_copy():
     sim = line(A, B)
     sim.routers[A].local_pref_in[B] = 250
     advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
-    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
                                         delivery_time=0.0, route=advert))
     stored = sim.routers[A].rib[P1][B]
     assert stored is not advert
@@ -711,13 +719,13 @@ def test_filter_drops_matching_update():
     sim = line(A, B)
     sim.install_inbound_filter(A, FilterRule(neighbor=B, deny_origin=99,
                                              deny_prefix=P1))
-    msg = UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1, delivery_time=0.0,
+    msg = UpdateMessage(sender=B, prefix=P1, delivery_time=0.0,
                         route=Route(prefix=P1, next_hop=B, as_path=(20, 99)))
     action, _ = sim.process_update(A, msg)
     assert action == "dropped-filter"
     assert sim.snapshot_table(A) == []
     # a different origin via the same neighbor still installs
-    msg2 = UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1, delivery_time=0.0,
+    msg2 = UpdateMessage(sender=B, prefix=P1, delivery_time=0.0,
                          route=Route(prefix=P1, next_hop=B, as_path=(20, 50)))
     action, _ = sim.process_update(A, msg2)
     assert action == "installed"
@@ -726,11 +734,11 @@ def test_filter_drops_matching_update():
 def test_shorter_path_replaces_best():
     sim = triangle()
     long_route = Route(prefix=P1, next_hop=C, as_path=(30, 50, 40))
-    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=C, prefix=P1,
+    sim.process_update(A, UpdateMessage(sender=C, prefix=P1,
                                         delivery_time=0.0, route=long_route))
     assert best_row(sim, A, P1)["as_path"] == (30, 50, 40)
     short_route = Route(prefix=P1, next_hop=B, as_path=(20, 40))
-    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
                                         delivery_time=0.0, route=short_route))
     assert best_row(sim, A, P1)["as_path"] == (20, 40)
 
@@ -739,13 +747,13 @@ def test_invalid_route_is_listed_but_never_selected():
     sim = triangle()
     # shorter than the valid route below, so it would win if it were valid
     invalid = Route(prefix=P1, next_hop=B, as_path=(20, 40), is_valid=False)
-    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=B, prefix=P1,
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
                                         delivery_time=0.0, route=invalid))
     assert best_row(sim, A, P1) is None
     [row] = json.loads(snapshot_json(sim, A))
     assert row["is_valid"] is False and row["is_best"] is False
     valid = Route(prefix=P1, next_hop=C, as_path=(30, 50, 40))
-    sim.process_update(A, UpdateMessage(kind=ANNOUNCE, sender=C, prefix=P1,
+    sim.process_update(A, UpdateMessage(sender=C, prefix=P1,
                                         delivery_time=0.0, route=valid))
     assert best_row(sim, A, P1)["next_hop"] == C
     rows = {r["next_hop"]: r for r in sim.snapshot_table(A)}
@@ -987,8 +995,8 @@ def test_snapshot_rows_follow_every_table_change(overrides, steps):
             path = tuple(dict.fromkeys((sender.asn, RING[origin].asn)))
             route = Route(prefix=prefix, next_hop=sender, as_path=path,
                           metric=len(path), is_valid=valid)
-        sim.process_update(RING[receiver], UpdateMessage(
-            ANNOUNCE if route else WITHDRAW, sender, prefix, sim.clock.now, route))
+        sim.process_update(RING[receiver],
+                           UpdateMessage(sender, prefix, sim.clock.now, route))
         for rid, router in sim.routers.items():
             rows = sim.snapshot_table(rid)
             assert rows == reference_rows(router)

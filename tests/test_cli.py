@@ -72,11 +72,15 @@ def test_cli_exit_one_when_attack_outlives_run(tmp_path):
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
-    for bad in (["--routers", "2"], ["--members", "0"], ["--members", "-3"],
-                ["--duration", "nan"], ["--duration", "inf"], ["--mari", "nan"],
-                ["--scan-interval", "nan"], ["--attack-at", "nan"],
-                ["--attack-at", "-5"]):
-        code = main(["run", "--scenario", "single", "--routers", "20", *bad,
+    single = [("single", bad) for bad in (
+        ["--routers", "2"], ["--members", "0"], ["--members", "-3"],
+        ["--duration", "nan"], ["--duration", "inf"], ["--mari", "nan"],
+        ["--scan-interval", "nan"], ["--attack-at", "nan"], ["--attack-at", "-5"])]
+    # five random routers leave room for three attacks, not four or ten
+    unplaceable = [("random", ["--routers", "5", "--attacks", "4"]),
+                   ("random", ["--routers", "5", "--attacks", "10"])]
+    for scenario, bad in single + unplaceable:
+        code = main(["run", "--scenario", scenario, "--routers", "20", *bad,
                      "--out", str(tmp_path / "x.csv"), "--quiet"])
         assert code == 2, bad
         assert capsys.readouterr().err.startswith("error: "), bad

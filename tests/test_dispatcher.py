@@ -8,6 +8,7 @@ from blockjack.bgp import Simulation
 from blockjack.dispatcher import (
     ACCEPT,
     Dispatcher,
+    DispatcherReport,
     OriginEntry,
     scan,
 )
@@ -193,8 +194,10 @@ def test_verifier_accepts_registered_owner():
     agent = dispatcher_on(sim, profiler)
     sim.originate_prefix(V, P, 0.0)
     sim.run_until(70.0)
-    results = agent.verifier_sync(scan(sim.snapshot_table(ROOT), 101)[1], 70.0)
+    report = DispatcherReport(70.0, str(ROOT))
+    results = agent.verifier_sync(scan(sim.snapshot_table(ROOT), 101)[1], 70.0, report)
     assert results == [(OriginEntry(P, 104, C1), VerificationSignal.VALID, ACCEPT)]
+    assert (report.verifies, report.filters) == (1, [])
     assert agent._filters_sent == set()
 
 
@@ -204,7 +207,8 @@ def test_verifier_unknown_accepted_by_default_config():
     agent = dispatcher_on(sim, profiler)
     sim.originate_prefix(V, P, 0.0)   # never registered: a non-participant AS
     sim.run_until(70.0)
-    results = agent.verifier_sync(scan(sim.snapshot_table(ROOT), 101)[1], 70.0)
+    results = agent.verifier_sync(scan(sim.snapshot_table(ROOT), 101)[1], 70.0,
+                                  DispatcherReport(70.0, str(ROOT)))
     assert results[0][1] is VerificationSignal.UNKNOWN
     assert results[0][2] == ACCEPT
 
@@ -414,3 +418,14 @@ def test_tick_config_validation():
     for interval in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="scan_interval must be positive and finite"):
             Dispatcher(sim, profiler, ROOT, scan_interval=interval)
+
+
+@pytest.mark.parametrize("until", [math.inf, -math.inf, math.nan])
+def test_schedule_ticks_refuses_a_non_finite_end(until):
+    # unchecked, inf queued ticks until memory ran out and NaN queued none
+    sim = tree_sim()
+    profiler, _ = build_gateway(routers=[ROOT])
+    agent = dispatcher_on(sim, profiler)
+    with pytest.raises(ValueError, match="until must be finite"):
+        agent.schedule_ticks(until)
+    assert sim.run_until(10.0) == 0

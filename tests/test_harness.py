@@ -53,6 +53,16 @@ def test_config_refuses_a_count_seed_or_trial_that_is_not_an_integer(name, value
         ScenarioConfig(kind="random", **{name: value})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("duration", True), ("mari", False), ("scan_interval", True), ("link_delay", True),
+    ("link_delay", None), ("attack_at", True), ("connectivity", True),
+    ("connectivity", "0.5"), ("duration", "600"), ("mari", [30.0]),
+])
+def test_config_refuses_a_time_or_connectivity_that_is_not_a_number(name, value):
+    with pytest.raises(ScenarioError, match=f"{name} must be a number"):
+        ScenarioConfig(kind="random", **{name: value})
+
+
 def test_connectivity_default_rule():
     assert ScenarioConfig(kind="random", routers=20).resolved_connectivity == 0.5
     assert ScenarioConfig(kind="random", routers=50).resolved_connectivity == 0.25

@@ -100,36 +100,34 @@ def tx(kind, prefix, asn, submitter_asn=None, active=True):
 
 
 def test_chaincode_register_on_empty_state_approves():
-    verdict = chaincode_evaluate(tx("register", "10.0.0.0/24", 10), WorldState())
-    assert verdict.approved
+    assert chaincode_evaluate(tx("register", "10.0.0.0/24", 10), WorldState()) is None
 
 
 def test_chaincode_register_conflict_denied():
     state = WorldState({"10.0.0.0/24": LedgerRecord("10.0.0.0/24", 10)})
-    verdict = chaincode_evaluate(tx("register", "10.0.0.0/24", 99), state)
-    assert not verdict.approved and verdict.reason == REASON_CONFLICT
+    assert chaincode_evaluate(tx("register", "10.0.0.0/24", 99), state) == REASON_CONFLICT
 
 
 def test_chaincode_reactivation_paths():
     inactive = WorldState({"10.0.0.0/24": LedgerRecord("10.0.0.0/24", 10, active=False)})
-    assert chaincode_evaluate(tx("register", "10.0.0.0/24", 10), inactive).approved
+    assert chaincode_evaluate(tx("register", "10.0.0.0/24", 10), inactive) is None
     cross = chaincode_evaluate(tx("register", "10.0.0.0/24", 99), inactive)
-    assert not cross.approved and cross.reason == REASON_CONFLICT
-    assert chaincode_evaluate(tx("update_status", "10.0.0.0/24", 10), inactive).approved
+    assert cross == REASON_CONFLICT
+    assert chaincode_evaluate(tx("update_status", "10.0.0.0/24", 10), inactive) is None
 
 
 def test_chaincode_update_not_found_and_mismatch():
     state = WorldState({"10.0.0.0/24": LedgerRecord("10.0.0.0/24", 10)})
     missing = chaincode_evaluate(tx("update_status", "172.16.0.0/20", 10), state)
-    assert missing.reason == REASON_NOT_FOUND
+    assert missing == REASON_NOT_FOUND
     wrong = chaincode_evaluate(tx("update_status", "10.0.0.0/24", 99), state)
-    assert wrong.reason == REASON_CREDENTIAL_MISMATCH
+    assert wrong == REASON_CREDENTIAL_MISMATCH
 
 
 def test_chaincode_credential_asn_mismatch():
-    verdict = chaincode_evaluate(tx("register", "10.0.0.0/24", 20, submitter_asn=10),
-                                 WorldState())
-    assert verdict.reason == REASON_CREDENTIAL_MISMATCH
+    reason = chaincode_evaluate(tx("register", "10.0.0.0/24", 20, submitter_asn=10),
+                                WorldState())
+    assert reason == REASON_CREDENTIAL_MISMATCH
 
 
 def test_chaincode_is_pure():
@@ -697,7 +695,7 @@ def test_to_json_renders_odd_loaded_values_as_json_dumps(entries):
     for kind, prefix, asn, doc_type, active, submitter, submitted_at in entries:
         transaction = Transaction(kind, LedgerRecord(prefix, asn, doc_type, active),
                                   submitter, asn, ALL_MEMBERS[:2], submitted_at)
-        if chaincode_evaluate(transaction, ledger.world_state).approved:
+        if chaincode_evaluate(transaction, ledger.world_state) is None:
             append_commit(ledger, transaction)
     check_ledger_invariants(ledger, UNIT_COST)
 
