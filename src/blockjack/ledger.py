@@ -159,57 +159,48 @@ def _json_value(value) -> str:
     return _CANONICAL_ENCODER.encode(value)
 
 
-def _canonical_block(block: Block) -> bytes:
-    """``canonical_bytes(block.body())``, rendered from the block's fields.
+def _record_text(record: LedgerRecord, brk: str, colon: str) -> str:
+    """A record as a JSON object; see :func:`_block_text` for the layout."""
+    return (f'{{{brk}"active"{colon}{_json_value(record.active)},'
+            f'{brk}"asn"{colon}{_json_value(record.asn)},'
+            f'{brk}"doc_type"{colon}{_json_value(record.doc_type)},'
+            f'{brk}"prefix"{colon}{_json_value(record.prefix)}{brk[:-2]}}}')
 
-    Keys are written in sorted order, as ``to_json`` writes the dump, so
-    no ``body()`` dicts are built for the encoder to walk.  The bytes are
-    the same for every block, hand-built ones included, since
-    ``_json_value`` sends any value that is not a plain scalar through
-    the canonical encoder itself.
+
+def _block_text(block: Block, brk: str, colon: str, head: str = "") -> str:
+    """A block as a JSON object, keys in sorted order, each after ``brk``.
+
+    ``brk=""`` and ``colon=":"`` give the compact text that is hashed;
+    a newline plus the keys' indent and ``": "`` give the text of
+    ``json.dumps(..., indent=2)``, each level two spaces deeper and closed
+    two spaces out.  ``head``, written first, is the dump's ``"hash"`` entry.
     """
-    pieces = [f'{{"index":{_json_value(block.index)},'
-              f'"prev_hash":{_json_value(block.prev_hash)},"transactions":[']
-    append = pieces.append
-    sep = ""
+    step = brk and "  "
+    item = brk + step  # a transaction in the block's list
+    key = item + step  # a transaction's keys
+    inner = key + step  # its endorsements and its record's keys
+    txs = ""
     for tx in block.transactions:
-        record = tx.record
-        append(f'{sep}{{"endorsements":[{",".join(map(_json_value, tx.endorsements))}],'
-               f'"kind":{_json_value(tx.kind)},'
-               f'"record":{{"active":{_json_value(record.active)},'
-               f'"asn":{_json_value(record.asn)},'
-               f'"doc_type":{_json_value(record.doc_type)},'
-               f'"prefix":{_json_value(record.prefix)}}},'
-               f'"submitted_at":{_json_value(tx.submitted_at)},'
-               f'"submitter":{_json_value(tx.submitter)},'
-               f'"submitter_asn":{_json_value(tx.submitter_asn)}}}')
-        sep = ","
-    append("]}")
-    payload = "".join(pieces).encode("utf-8")
+        try:  # member ids, so strings, which the C encoder takes whole
+            ids = ("," + inner).join(map(_encode_str, tx.endorsements))
+        except TypeError:  # a hand-built list holding anything else
+            ids = ("," + inner).join(map(_json_value, tx.endorsements))
+        txs += (f'{txs and ","}{item}{{{key}"endorsements"{colon}'
+                f'[{ids and inner}{ids}{ids and key}],'
+                f'{key}"kind"{colon}{_json_value(tx.kind)},'
+                f'{key}"record"{colon}{_record_text(tx.record, inner, colon)},'
+                f'{key}"submitted_at"{colon}{_json_value(tx.submitted_at)},'
+                f'{key}"submitter"{colon}{_json_value(tx.submitter)},'
+                f'{key}"submitter_asn"{colon}{_json_value(tx.submitter_asn)}{item}}}')
+    return (f'{{{head}{brk}"index"{colon}{_json_value(block.index)},'
+            f'{brk}"prev_hash"{colon}{_json_value(block.prev_hash)},'
+            f'{brk}"transactions"{colon}[{txs}{txs and brk}]{brk[:-2]}}}')
+
+
+def _canonical_block(block: Block) -> bytes:
+    """``canonical_bytes(block.body())``, rendered from the block's fields."""
+    payload = _block_text(block, "", ":").encode("utf-8")
     return len(payload).to_bytes(8, "big") + payload
-
-
-def _record_json(record: LedgerRecord, pad: str) -> str:
-    """A record as an indented JSON object whose keys sit at indent ``pad``."""
-    return (f'{{\n{pad}"active": {_json_value(record.active)},\n'
-            f'{pad}"asn": {_json_value(record.asn)},\n'
-            f'{pad}"doc_type": {_json_value(record.doc_type)},\n'
-            f'{pad}"prefix": {_json_value(record.prefix)}\n{pad[2:]}}}')
-
-
-def _append_transaction(append, tx: Transaction):
-    """Append a transaction of a block's list to to_json's pieces."""
-    if tx.endorsements:
-        append('        {\n          "endorsements": [\n            '
-               + ",\n            ".join(map(_json_value, tx.endorsements))
-               + '\n          ],\n')
-    else:
-        append('        {\n          "endorsements": [],\n')
-    append(f'          "kind": {_json_value(tx.kind)},\n          "record": ')
-    append(_record_json(tx.record, "            "))
-    append(f',\n          "submitted_at": {_json_value(tx.submitted_at)},\n'
-           f'          "submitter": {_json_value(tx.submitter)},\n'
-           f'          "submitter_asn": {_json_value(tx.submitter_asn)}\n        }}')
 
 
 @dataclass
@@ -504,36 +495,24 @@ class ConsortiumLedger:
         world state, keys in sorted order: CPython's encoder runs in pure
         Python when it indents, and makes a string per token of the dump.
         """
+        brk = "\n      "  # the keys of a block and of a world-state record
         out = ['{\n  "blocks": [']
-        append = out.append
-        sep = "\n    {\n"
+        sep = "\n    "
         for block in self.blocks:
-            append(f'{sep}      "hash": {_json_value(block.hash)},\n'
-                   f'      "index": {_json_value(block.index)},\n'
-                   f'      "prev_hash": {_json_value(block.prev_hash)},\n'
-                   f'      "transactions": ')
-            if block.transactions:
-                tx_sep = "[\n"
-                for tx in block.transactions:
-                    append(tx_sep)
-                    _append_transaction(append, tx)
-                    tx_sep = ",\n"
-                append("\n      ]\n    }")
-            else:
-                append("[]\n    }")
-            sep = ",\n    {\n"
-        append("\n  ],\n" if self.blocks else "],\n")
-        append(f'  "hash_algorithm": {_json_value(HASH_ALGORITHM)},\n'
-               f'  "member_count": {_json_value(self.cost_model.member_count)},\n'
-               f'  "version": {_json_value(self.world_state.version)},\n'
-               f'  "world_state": ')
+            out += sep, _block_text(block, brk, ": ",
+                                    f'{brk}"hash": {_json_value(block.hash)},')
+            sep = ",\n    "
+        out += ("\n  ],\n" if self.blocks else "],\n",
+                f'  "hash_algorithm": {_json_value(HASH_ALGORITHM)},\n'
+                f'  "member_count": {_json_value(self.cost_model.member_count)},\n'
+                f'  "version": {_json_value(self.world_state.version)},\n'
+                f'  "world_state": ')
         records = self.world_state.records
         sep = "{\n    "
         for prefix in sorted(records):
-            append(f"{sep}{_json_value(prefix)}: ")
-            append(_record_json(records[prefix], "      "))
+            out += f"{sep}{_json_value(prefix)}: ", _record_text(records[prefix], brk, ": ")
             sep = ",\n    "
-        append("\n  }\n}\n" if records else "{}\n}\n")
+        out.append("\n  }\n}\n" if records else "{}\n}\n")
         return "".join(out)
 
     @classmethod
