@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .types import RouterId, check_asn
+from .types import RouterId, check_asn, flag
 
 DOC_TYPE = "prefix-ownership"
 CA_NAME = "blockjack-ca"
@@ -407,11 +407,14 @@ class ConsortiumLedger:
     def submit_status_update(self, prefix: str, asn: int, active: bool,
                              cred: Credential, now: float = 0.0) -> CommitResult | Denial:
         check_asn(asn)
-        record = LedgerRecord(prefix=str(prefix), asn=asn, active=active)
+        record = LedgerRecord(prefix=str(prefix), asn=asn, active=flag(active, "active"))
         return self._submit(KIND_UPDATE_STATUS, record, cred, now)
 
     def _submit(self, kind: str, record: LedgerRecord, cred: Credential,
                 now: float) -> CommitResult | Denial:
+        # stored as given, so it must be a value ``load`` takes back
+        if type(now) not in _TX_FIELDS["submitted_at"]:
+            raise TypeError(f"now must be an int or a float, got {now!r}")
         self._require_credential(cred)
         draft = Transaction(kind=kind, record=record, submitter=cred.subject,
                             submitter_asn=cred.asn, endorsements=(),
@@ -597,5 +600,9 @@ def _load_transaction(raw) -> Transaction:
     if not all(type(member_id) is str for member_id in endorsements):
         raise LedgerError("malformed dump: an endorsement is not a string")
     record = LedgerRecord(*_fields(raw_record, _RECORD_FIELDS, "a record"))
+    try:
+        check_asn(record.asn)
+    except ValueError as exc:
+        raise LedgerError(f"malformed dump: a record's {exc}") from None
     return Transaction(kind, record, submitter, submitter_asn, tuple(endorsements),
                        submitted_at)

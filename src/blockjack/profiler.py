@@ -45,7 +45,9 @@ class GatewayRequest:
         if self.action not in ACTIONS:
             raise ValueError(f"unknown action: {self.action}")
         check_asn(self.asn)
-        if self.action == ACTION_UPDATE and self.active is None:
+        if self.active is not None:
+            flag(self.active, "active")
+        elif self.action == ACTION_UPDATE:
             raise ValueError("update_status requires 'active'")
 
     @classmethod

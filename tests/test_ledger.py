@@ -434,6 +434,35 @@ def test_block_bytes_of_a_hand_built_non_scalar_field_equal_the_encoded_body():
 # -- export/import ------------------------------------------------------------
 
 
+# Writes whose transaction ``load`` would refuse; each must raise before it commits.
+UNLOADABLE_WRITES = {
+    "active zero": lambda ledger, r10: ledger.submit_status_update(
+        "10.0.0.0/24", 10, 0, r10),
+    "now a bool": lambda ledger, r10: ledger.submit_authorization(
+        "10.1.0.0/24", 10, r10, now=True),
+    "now text": lambda ledger, r10: ledger.submit_status_update(
+        "10.0.0.0/24", 10, False, r10, now="5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLOADABLE_WRITES))
+def test_a_write_that_load_would_refuse_commits_nothing(case):
+    ledger, _, r10, _ = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    before = ledger.to_json(), dict(ledger.stats)
+    with pytest.raises(TypeError):
+        UNLOADABLE_WRITES[case](ledger, r10)
+    assert (ledger.to_json(), ledger.stats) == before
+
+
+def test_an_integer_time_is_dumped_and_loaded_as_an_integer():
+    ledger, _, r10, _ = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10, now=5)
+    text = ledger.to_json()
+    assert '"submitted_at": 5,' in text
+    assert ConsortiumLedger.load(json.loads(text), cost_model=UNIT_COST).to_json() == text
+
+
 def test_dump_roundtrip_lossless_and_byte_stable():
     ledger, _, r10, r99 = make_ledger()
     ledger.submit_authorization("10.0.0.0/24", 10, r10, now=1.5)
@@ -608,6 +637,15 @@ def test_load_accepts_an_appended_commit_that_meets_both_checks():
     assert loaded.world_state.get("10.9.0.0/24").asn == 99
 
 
+@pytest.mark.parametrize("asn", [0, -5, 2**40])
+def test_load_refuses_a_record_asn_out_of_range(asn):
+    ledger = ConsortiumLedger(cost_model=UNIT_COST)
+    doc = resealed_with(ledger, replace(tx("register", "10.0.0.0/24", asn),
+                                        endorsements=ALL_MEMBERS))
+    with pytest.raises(LedgerError, match=r"ASN out of range .*\(block 1\)"):
+        ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+
+
 # -- invariants under any write sequence ------------------------------------------
 
 
@@ -711,4 +749,14 @@ def test_to_json_renders_values_that_never_pass_load():
     with pytest.raises(LedgerError):
         ConsortiumLedger.load(json.loads(ledger.to_json()), cost_model=UNIT_COST)
     ledger.blocks = []
+    assert ledger.to_json() == reference_json(ledger)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.lists(hash_transaction, max_size=4), max_size=3))
+def test_to_json_renders_blocks_of_several_transactions_as_json_dumps(blocks):
+    ledger = ConsortiumLedger(cost_model=UNIT_COST)
+    for transactions in blocks:
+        ledger.blocks.append(Block(len(ledger.blocks), ledger.blocks[-1].hash,
+                                   transactions).seal())
     assert ledger.to_json() == reference_json(ledger)

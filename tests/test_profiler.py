@@ -190,6 +190,13 @@ def test_request_codec_roundtrip():
         GatewayRequest(action=ACTION_UPDATE, prefix=PFX, asn=10, claimed_router=R1)
 
 
+@pytest.mark.parametrize("action", [ACTION_UPDATE, ACTION_VERIFY])
+@pytest.mark.parametrize("active", [0, 1, "false"])
+def test_request_refuses_an_active_that_is_not_a_bool(action, active):
+    with pytest.raises(TypeError):
+        GatewayRequest(action=action, prefix=PFX, asn=10, claimed_router=R1, active=active)
+
+
 @pytest.mark.parametrize("field,value,error", [
     ("active", "false", TypeError), ("active", 0, TypeError), ("active", None, TypeError),
     ("asn", 99.7, ValueError), ("asn", True, ValueError), ("asn", "10.0", ValueError),
