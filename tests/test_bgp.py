@@ -543,6 +543,115 @@ def test_run_until_from_inside_an_event_is_refused():
     assert sim.run_until(5.0) == 0
 
 
+HUB = RouterId(1)
+
+
+def flood_script():
+    """A hub that floods two prefixes to four spokes at one delay and to a
+    fifth at another; the spoke 2.0 passes them on to one more router."""
+    sim = Simulation()
+    spokes = [RouterId(asn) for asn in (5, 2, 4, 3)]
+    for rid in (HUB, *spokes, RouterId(6), RouterId(7)):
+        sim.add_router(rid)
+    for spoke in spokes:
+        sim.add_link(HUB, spoke, 0.1)
+    sim.add_link(HUB, RouterId(6), 0.5)
+    sim.add_link(RouterId(2), RouterId(7), 0.1)
+    sim.originate_prefix(HUB, P1, 0.0)
+    sim.originate_prefix(HUB, P2, 0.0)
+    sim.withdraw_prefix(HUB, P2, 45.0)
+    return sim
+
+
+@pytest.fixture
+def deliveries(monkeypatch):
+    """The log of every process_update call: (time, receiver asn, sender asn,
+    prefix, outcome), the outcome None when the call raised."""
+    log = []
+    process_update = Simulation.process_update
+
+    def logged(sim, rid, msg):
+        entry = [sim.clock.now, rid.asn, msg.sender.asn, str(msg.prefix), None]
+        log.append(entry)
+        result = process_update(sim, rid, msg)
+        entry[-1] = result[0]
+        return result
+
+    monkeypatch.setattr(Simulation, "process_update", logged)
+    return log
+
+
+def test_a_flood_counts_one_event_per_delivery(deliveries):
+    sim = flood_script()
+    runs = [(t, sim.run_until(t), sim.events_processed)
+            for t in (0.0, 30.0, 30.1, 30.5, 60.1, 100.0, 200.0)]
+    # t=0: two originations; 30.0: the hub's flush; 30.1: 2 prefixes x 4
+    # spokes; 30.5: 2 to the far spoke; and so on, one event per delivery
+    assert runs == [(0.0, 2, 2), (30.0, 1, 3), (30.1, 8, 11), (30.5, 2, 13),
+                    (60.1, 21, 34), (100.0, 17, 51), (200.0, 2, 53)]
+    assert len(deliveries) == 36
+
+
+def test_a_flood_delivers_in_time_then_flush_then_router_id_order(deliveries):
+    sim = flood_script()
+    sim.run_until(200.0)
+    p1, p2 = str(P1), str(P2)
+    assert [tuple(entry) for entry in deliveries] == [
+        (30.1, 2, 1, p1, "installed"), (30.1, 3, 1, p1, "installed"),
+        (30.1, 4, 1, p1, "installed"), (30.1, 5, 1, p1, "installed"),
+        (30.1, 2, 1, p2, "installed"), (30.1, 3, 1, p2, "installed"),
+        (30.1, 4, 1, p2, "installed"), (30.1, 5, 1, p2, "installed"),
+        (30.5, 6, 1, p1, "installed"), (30.5, 6, 1, p2, "installed"),
+        (60.1, 1, 2, p1, "dropped-loop"), (60.1, 7, 2, p1, "installed"),
+        (60.1, 1, 2, p2, "dropped-loop"), (60.1, 7, 2, p2, "installed"),
+        (60.1, 1, 3, p1, "dropped-loop"), (60.1, 1, 3, p2, "dropped-loop"),
+        (60.1, 1, 4, p1, "dropped-loop"), (60.1, 1, 4, p2, "dropped-loop"),
+        (60.1, 1, 5, p1, "dropped-loop"), (60.1, 1, 5, p2, "dropped-loop"),
+        (60.1, 2, 1, p2, "withdrawn"), (60.1, 3, 1, p2, "withdrawn"),
+        (60.1, 4, 1, p2, "withdrawn"), (60.1, 5, 1, p2, "withdrawn"),
+        (60.5, 1, 6, p1, "dropped-loop"), (60.5, 1, 6, p2, "dropped-loop"),
+        (60.5, 6, 1, p2, "withdrawn"),
+        (90.1, 2, 7, p1, "dropped-loop"), (90.1, 2, 7, p2, "dropped-loop"),
+        (90.1, 1, 2, p2, "no-op"), (90.1, 7, 2, p2, "withdrawn"),
+        (90.1, 1, 3, p2, "no-op"), (90.1, 1, 4, p2, "no-op"),
+        (90.1, 1, 5, p2, "no-op"), (90.5, 1, 6, p2, "no-op"),
+        (120.1, 2, 7, p2, "no-op"),
+    ]
+
+
+def test_a_raising_delivery_leaves_the_rest_of_its_flood_queued(deliveries):
+    sim = Simulation()
+    for rid in (HUB, C, A, B):
+        sim.add_router(rid)
+    for spoke in (C, A, B):
+        sim.add_link(HUB, spoke, 0.1)
+    sim.originate_prefix(HUB, P1, 0.0)
+
+    def listener(rid, prefix, old, new):
+        if rid == B and new is not None:
+            raise Boom(str(rid))
+    sim.on_best_change.append(listener)
+    assert sim.run_until(30.0) == 2   # the origination and the hub's flush
+    with pytest.raises(Boom):
+        sim.run_until(100.0)
+    # the second of three deliveries raised: it is consumed, the third is not
+    assert sim.clock.now == 30.1
+    assert sim.events_processed == 2
+    assert [tuple(entry) for entry in deliveries] == [
+        (30.1, 10, 1, str(P1), "installed"), (30.1, 20, 1, str(P1), None)]
+    assert best_row(sim, B, P1)["next_hop"] == HUB
+    assert best_row(sim, C, P1) is None
+    # the next call delivers it first, then the spokes' flushes at 60.0
+    assert sim.run_until(30.1) == 1
+    assert deliveries[-1] == [30.1, 30, 1, str(P1), "installed"]
+    assert sim.run_until(100.0) == 6
+    assert sim.events_processed == 9
+    assert [tuple(entry) for entry in deliveries[3:]] == [
+        (60.1, 1, 10, str(P1), "dropped-loop"), (60.1, 1, 20, str(P1), "dropped-loop"),
+        (60.1, 1, 30, str(P1), "dropped-loop")]
+    assert sim._queue == [] and sim._buckets == {}
+
+
 def test_propagation_one_interval_per_hop():
     d = RouterId(40)
     sim = line(A, B, C, d)
