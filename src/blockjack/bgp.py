@@ -14,8 +14,11 @@ they were scheduled.  An action's position in its bucket is its place
 in that order, so draining the earliest bucket in list order, actions
 appended to it while it drains included, runs events in time order and,
 within one time, in the order they were scheduled.  A flush's
-deliveries at one link delay share a time, so the heap moves once per
-distinct time rather than once per event.  Actions are
+deliveries for one prefix at one link delay share a time and a message,
+so they are one queued action, which calls ``process_update`` for each
+receiver in router id order; each delivery still counts as one event.
+The heap moves once per distinct time and the bucket grows once per
+(prefix, time) rather than once per delivery.  Actions are
 ``functools.partial`` objects, which are cheaper to build and to call
 than closures.
 
@@ -278,6 +281,10 @@ class Simulation:
         self._buckets: dict[float, list[Callable[[], None]]] = {}
         self._running = False
         self.events_processed = 0
+        # deliveries run by _deliver beyond the one event run_until counts
+        # per action, and the receivers a raising delivery left undelivered
+        self._extra_events = 0
+        self._unsent: Optional[Callable[[], None]] = None
         # callbacks (router_id, prefix, old_best, new_best)
         self.on_best_change: list[Callable[[RouterId, Prefix, Optional[Route], Optional[Route]], None]] = []
 
@@ -329,12 +336,15 @@ class Simulation:
     def run_until(self, t: float) -> int:
         """Process every event with time <= t in time, then scheduling, order.
 
-        Returns the number processed.  An action that raises is consumed,
-        the clock stays at its time, and the error propagates; the events
-        after it stay queued for the next call, and the call adds nothing
-        to ``events_processed``.  An action may schedule, but not run, the
-        queue.  An end time before now, NaN or an infinity is refused: the
-        clock would stop there, and nothing could be scheduled after it.
+        Returns the number processed.  Each delivery of an update is one
+        event, also where one queued action delivers a flush's message to
+        several receivers.  An event that raises is consumed, the clock
+        stays at its time, and the error propagates; the events after it,
+        the rest of its flush's receivers first, stay queued for the next
+        call, and the call adds nothing to ``events_processed``.  An
+        action may schedule, but not run, the queue.  An end time before
+        now, NaN or an infinity is refused: the clock would stop there,
+        and nothing could be scheduled after it.
         """
         if not self.clock.now <= t < math.inf:
             if t < self.clock.now:
@@ -345,6 +355,7 @@ class Simulation:
         queue, buckets, clock = self._queue, self._buckets, self.clock
         processed = 0
         self._running = True
+        self._extra_events = 0
         try:
             while queue and queue[0] <= t:
                 when = clock.now = queue[0]
@@ -356,6 +367,9 @@ class Simulation:
                         action()
                 except BaseException:
                     del bucket[:done]
+                    if self._unsent is not None:
+                        bucket.insert(0, self._unsent)
+                        self._unsent = None
                     if not bucket:
                         heapq.heappop(queue)
                         del buckets[when]
@@ -365,6 +379,7 @@ class Simulation:
                 processed += done
         finally:
             self._running = False
+        processed += self._extra_events
         clock.now = t
         self.events_processed += processed
         return processed
@@ -528,13 +543,14 @@ class Simulation:
         pending, router.pending = sorted(router.pending), set()
         sender, now = router.rid, self.clock.now
         # the neighbors grouped by delivery time, each group in router id
-        # order; one message per group serves all of it, since it names no
-        # receiver, and each delivery is queued as schedule() would queue it
+        # order; per prefix, one message serves a whole group, since it names
+        # no receiver, and one action delivers it, queued as schedule() would
+        # queue it; the action, like the groups, is bound once per flush
         groups: dict[float, list[RouterId]] = {}
         for neighbor, delay in sorted(router.neighbors.items()):
             groups.setdefault(now + delay, []).append(neighbor)
         targets = [(when, self._bucket(when), group) for when, group in groups.items()]
-        deliver = self.process_update
+        deliver = self._deliver
         head = _ADVERT_RANK_HEAD | sender.asn << 32 | sender.index
         for prefix in pending:
             best = router.best.get(prefix)
@@ -547,7 +563,25 @@ class Simulation:
                     best.metric, True, head | len(path) << 96 | best.med << 64)
             for when, bucket, group in targets:
                 msg = UpdateMessage(sender, prefix, when, advert)
-                bucket.extend([partial(deliver, neighbor, msg) for neighbor in group])
+                bucket.append(partial(deliver, group, msg))
+
+    def _deliver(self, receivers: list[RouterId], msg: UpdateMessage) -> None:
+        """Deliver one message to each receiver in order, one event each.
+
+        If a delivery raises, the receivers after it are left in
+        ``_unsent`` as one action, which ``run_until`` queues again at the
+        head of the bucket.
+        """
+        process_update = self.process_update
+        try:
+            for receiver in receivers:
+                process_update(receiver, msg)
+        except BaseException:
+            rest = receivers[receivers.index(receiver) + 1:]
+            if rest:
+                self._unsent = partial(self._deliver, rest, msg)
+            raise
+        self._extra_events += len(receivers) - 1
 
 
 # -- external interfaces ----------------------------------------------------

@@ -619,6 +619,15 @@ def test_a_flood_delivers_in_time_then_flush_then_router_id_order(deliveries):
     ]
 
 
+def test_a_flush_queues_one_action_per_prefix_and_delivery_time():
+    sim = flood_script()
+    sim.run_until(30.0)
+    # two prefixes, each to a group of four at 30.1 and a group of one at 30.5
+    assert {when: len(bucket) for when, bucket in sim._buckets.items()} == {
+        30.1: 2, 30.5: 2, 45.0: 1}
+    assert sim.run_until(30.5) == 10
+
+
 def test_a_raising_delivery_leaves_the_rest_of_its_flood_queued(deliveries):
     sim = Simulation()
     for rid in (HUB, C, A, B):
