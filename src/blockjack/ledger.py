@@ -159,47 +159,82 @@ def _json_value(value) -> str:
     return _CANONICAL_ENCODER.encode(value)
 
 
-def _record_text(record: LedgerRecord, brk: str, colon: str) -> str:
-    """A record as a JSON object; see :func:`_block_text` for the layout."""
-    return (f'{{{brk}"active"{colon}{_json_value(record.active)},'
-            f'{brk}"asn"{colon}{_json_value(record.asn)},'
-            f'{brk}"doc_type"{colon}{_json_value(record.doc_type)},'
-            f'{brk}"prefix"{colon}{_json_value(record.prefix)}{brk[:-2]}}}')
+def _record_labels(brk: str, colon: str) -> tuple[str, ...]:
+    """The text around a record's four values, each key after ``brk``."""
+    return (f'{{{brk}"active"{colon}', f',{brk}"asn"{colon}',
+            f',{brk}"doc_type"{colon}', f',{brk}"prefix"{colon}', f'{brk[:-2]}}}')
 
 
-def _block_text(block: Block, brk: str, colon: str, head: str = "") -> str:
-    """A block as a JSON object, keys in sorted order, each after ``brk``.
+def _record_text(record: LedgerRecord, labels: tuple[str, ...]) -> str:
+    """A record as a JSON object, around ``labels`` from :func:`_record_labels`."""
+    active, asn, doc_type, prefix, close = labels
+    return (f'{active}{_json_value(record.active)}{asn}{_json_value(record.asn)}'
+            f'{doc_type}{_json_value(record.doc_type)}'
+            f'{prefix}{_json_value(record.prefix)}{close}')
 
-    ``brk=""`` and ``colon=":"`` give the compact text that is hashed;
-    a newline plus the keys' indent and ``": "`` give the text of
-    ``json.dumps(..., indent=2)``, each level two spaces deeper and closed
-    two spaces out.  ``head``, written first, is the dump's ``"hash"`` entry.
+
+class _Layout:
+    """One JSON layout of a block: the text between its values, built once.
+
+    ``brk`` comes before each key of a block and ``colon`` after it, keys
+    in sorted order.  ``brk=""`` and ``colon=":"`` give the compact text
+    that is hashed; a newline plus the keys' indent and ``": "`` give the
+    text of ``json.dumps(..., indent=2)``, each level two spaces deeper
+    and closed two spaces out.  A render only puts values between labels.
     """
-    step = brk and "  "
-    item = brk + step  # a transaction in the block's list
-    key = item + step  # a transaction's keys
-    inner = key + step  # its endorsements and its record's keys
+
+    __slots__ = ("block", "tx", "tx_record", "record")
+
+    def __init__(self, brk: str, colon: str):
+        step = brk and "  "
+        item = brk + step  # a transaction in the block's list
+        key = item + step  # a transaction's keys
+        inner = key + step  # its endorsements and its record's keys
+        close = f"{brk[:-2]}}}"
+        self.block = (f'{brk}"index"{colon}', f',{brk}"prev_hash"{colon}',
+                      f',{brk}"transactions"{colon}[', f"{brk}]{close}", f"]{close}")
+        self.tx = (f'{item}{{{key}"endorsements"{colon}[', inner, "," + inner, key,
+                   f'],{key}"kind"{colon}', f',{key}"record"{colon}',
+                   f',{key}"submitted_at"{colon}', f',{key}"submitter"{colon}',
+                   f',{key}"submitter_asn"{colon}', f"{item}}}")
+        self.tx_record = _record_labels(inner, colon)
+        self.record = _record_labels(brk, colon)  # a world-state record
+
+
+_DUMP_BREAK = "\n      "  # before the keys of a block and of a world-state record
+_HASHED = _Layout("", ":")
+_DUMPED = _Layout(_DUMP_BREAK, ": ")
+
+
+def _block_text(block: Block, layout: _Layout, head: str = "") -> str:
+    """A block as a JSON object in ``layout``.
+
+    ``head``, written first, is the dump's ``"hash"`` entry.
+    """
+    index, prev_hash, transactions, close, close_empty = layout.block
+    (open_tx, inner, id_sep, key, kind, record, submitted_at, submitter,
+     submitter_asn, close_tx) = layout.tx
+    record_labels = layout.tx_record
     txs = ""
     for tx in block.transactions:
         try:  # member ids, so strings, which the C encoder takes whole
-            ids = ("," + inner).join(map(_encode_str, tx.endorsements))
+            ids = id_sep.join(map(_encode_str, tx.endorsements))
         except TypeError:  # a hand-built list holding anything else
-            ids = ("," + inner).join(map(_json_value, tx.endorsements))
-        txs += (f'{txs and ","}{item}{{{key}"endorsements"{colon}'
-                f'[{ids and inner}{ids}{ids and key}],'
-                f'{key}"kind"{colon}{_json_value(tx.kind)},'
-                f'{key}"record"{colon}{_record_text(tx.record, inner, colon)},'
-                f'{key}"submitted_at"{colon}{_json_value(tx.submitted_at)},'
-                f'{key}"submitter"{colon}{_json_value(tx.submitter)},'
-                f'{key}"submitter_asn"{colon}{_json_value(tx.submitter_asn)}{item}}}')
-    return (f'{{{head}{brk}"index"{colon}{_json_value(block.index)},'
-            f'{brk}"prev_hash"{colon}{_json_value(block.prev_hash)},'
-            f'{brk}"transactions"{colon}[{txs}{txs and brk}]{brk[:-2]}}}')
+            ids = id_sep.join(map(_json_value, tx.endorsements))
+        txs += (f'{txs and ","}{open_tx}{ids and inner}{ids}{ids and key}'
+                f'{kind}{_json_value(tx.kind)}'
+                f'{record}{_record_text(tx.record, record_labels)}'
+                f'{submitted_at}{_json_value(tx.submitted_at)}'
+                f'{submitter}{_json_value(tx.submitter)}'
+                f'{submitter_asn}{_json_value(tx.submitter_asn)}{close_tx}')
+    return (f'{{{head}{index}{_json_value(block.index)}'
+            f'{prev_hash}{_json_value(block.prev_hash)}'
+            f'{transactions}{txs}{close if txs else close_empty}')
 
 
 def _canonical_block(block: Block) -> bytes:
     """``canonical_bytes(block.body())``, rendered from the block's fields."""
-    payload = _block_text(block, "", ":").encode("utf-8")
+    payload = _block_text(block, _HASHED).encode("utf-8")
     return len(payload).to_bytes(8, "big") + payload
 
 
@@ -412,9 +447,7 @@ class ConsortiumLedger:
 
     def _submit(self, kind: str, record: LedgerRecord, cred: Credential,
                 now: float) -> CommitResult | Denial:
-        # stored as given, so it must be a value ``load`` takes back
-        if type(now) not in _TX_FIELDS["submitted_at"]:
-            raise TypeError(f"now must be an int or a float, got {now!r}")
+        _check_time(now)  # stored as given, so it must be a value ``load`` takes back
         self._require_credential(cred)
         draft = Transaction(kind=kind, record=record, submitter=cred.subject,
                             submitter_asn=cred.asn, endorsements=(),
@@ -443,6 +476,7 @@ class ConsortiumLedger:
     def query_verify(self, prefix: str, asn: int, cred: Credential,
                      now: float = 0.0) -> VerifyResult:
         """Answer valid/invalid/unknown from world state; no consensus."""
+        _check_time(now)
         self._require_credential(cred)
         check_asn(asn)
         self.stats["verifies"] += 1
@@ -498,22 +532,21 @@ class ConsortiumLedger:
         world state, keys in sorted order: CPython's encoder runs in pure
         Python when it indents, and makes a string per token of the dump.
         """
-        brk = "\n      "  # the keys of a block and of a world-state record
         out = ['{\n  "blocks": [']
         sep = "\n    "
         for block in self.blocks:
-            out += sep, _block_text(block, brk, ": ",
-                                    f'{brk}"hash": {_json_value(block.hash)},')
+            out += sep, _block_text(block, _DUMPED,
+                                    f'{_DUMP_BREAK}"hash": {_json_value(block.hash)},')
             sep = ",\n    "
         out += ("\n  ],\n" if self.blocks else "],\n",
                 f'  "hash_algorithm": {_json_value(HASH_ALGORITHM)},\n'
                 f'  "member_count": {_json_value(self.cost_model.member_count)},\n'
                 f'  "version": {_json_value(self.world_state.version)},\n'
                 f'  "world_state": ')
-        records = self.world_state.records
+        records, labels = self.world_state.records, _DUMPED.record
         sep = "{\n    "
         for prefix in sorted(records):
-            out += f"{sep}{_json_value(prefix)}: ", _record_text(records[prefix], brk, ": ")
+            out += f"{sep}{_json_value(prefix)}: ", _record_text(records[prefix], labels)
             sep = ",\n    "
         out.append("\n  }\n}\n" if records else "{}\n}\n")
         return "".join(out)
@@ -570,6 +603,12 @@ _TX_FIELDS = {"kind": (str,), "record": (dict,), "submitter": (str,),
               "submitted_at": (float, int)}
 _RECORD_FIELDS = {"prefix": (str,), "asn": (int,), "doc_type": (str,),
                   "active": (bool,)}
+
+
+def _check_time(now) -> None:
+    """Refuse a request time that is not an int or a float, before any count."""
+    if type(now) not in _TX_FIELDS["submitted_at"]:
+        raise TypeError(f"now must be an int or a float, got {now!r}")
 
 
 def _fields(obj, spec: dict, what: str) -> list:

@@ -287,6 +287,17 @@ def test_verification_is_pure():
     assert ledger.world_state.version == version
 
 
+@pytest.mark.parametrize("now", [True, False, "5", None, 1j], ids=repr)
+def test_verify_refuses_a_time_that_is_not_a_number_before_counting_it(now):
+    ledger, _, r10, _ = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    stats = dict(ledger.stats)
+    with pytest.raises(TypeError, match="now must be an int or a float"):
+        ledger.query_verify("10.0.0.0/24", 10, r10, now=now)
+    assert ledger.stats == stats
+    assert ledger.query_verify("10.0.0.0/24", 10, r10, now=2).completed_at == 3
+
+
 # -- consensus threshold -------------------------------------------------------
 
 
