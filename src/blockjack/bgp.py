@@ -544,13 +544,13 @@ class Simulation:
         sender, now = router.rid, self.clock.now
         # the neighbors grouped by delivery time, each group in router id
         # order; per prefix, one message serves a whole group, since it names
-        # no receiver, and one action delivers it, queued as schedule() would
-        # queue it; the action, like the groups, is bound once per flush
+        # no receiver, and one action delivers it to the group, queued as
+        # schedule() would queue it
         groups: dict[float, list[RouterId]] = {}
         for neighbor, delay in sorted(router.neighbors.items()):
             groups.setdefault(now + delay, []).append(neighbor)
         targets = [(when, self._bucket(when), group) for when, group in groups.items()]
-        deliver = self._deliver
+        deliver = self._deliver  # one bound method for all the flush's actions
         head = _ADVERT_RANK_HEAD | sender.asn << 32 | sender.index
         for prefix in pending:
             best = router.best.get(prefix)
