@@ -14,11 +14,12 @@ they were scheduled.  An action's position in its bucket is its place
 in that order, so draining the earliest bucket in list order, actions
 appended to it while it drains included, runs events in time order and,
 within one time, in the order they were scheduled.  A flush's
-deliveries for one prefix at one link delay share a time and a message,
-so they are one queued action, which calls ``process_update`` for each
-receiver in router id order; each delivery still counts as one event.
-The heap moves once per distinct time and the bucket grows once per
-(prefix, time) rather than once per delivery.  Actions are
+deliveries at one link delay share a time, and each of its prefixes
+shares one message among them, so they are one queued action, which
+calls ``process_update`` for each message in prefix order and, per
+message, each receiver in router id order; each delivery still counts as
+one event.  The heap moves once per distinct time and the bucket grows
+once per (flush, time) rather than once per delivery.  Actions are
 ``functools.partial`` objects, which are cheaper to build and to call
 than closures.
 
@@ -282,9 +283,9 @@ class Simulation:
         self._running = False
         self.events_processed = 0
         # deliveries run by _deliver beyond the one event run_until counts
-        # per action, and the receivers a raising delivery left undelivered
+        # per action, and the deliveries a raising one left undone
         self._extra_events = 0
-        self._unsent: Optional[Callable[[], None]] = None
+        self._unsent: list[Callable[[], None]] = []
         # callbacks (router_id, prefix, old_best, new_best)
         self.on_best_change: list[Callable[[RouterId, Prefix, Optional[Route], Optional[Route]], None]] = []
 
@@ -337,10 +338,10 @@ class Simulation:
         """Process every event with time <= t in time, then scheduling, order.
 
         Returns the number processed.  Each delivery of an update is one
-        event, also where one queued action delivers a flush's message to
+        event, also where one queued action delivers a flush's messages to
         several receivers.  An event that raises is consumed, the clock
         stays at its time, and the error propagates; the events after it,
-        the rest of its flush's receivers first, stay queued for the next
+        the rest of its flush's deliveries first, stay queued for the next
         call, and the call adds nothing to ``events_processed``.  An
         action may schedule, but not run, the queue.  An end time before
         now, NaN or an infinity is refused: the clock would stop there,
@@ -366,10 +367,8 @@ class Simulation:
                     for done, action in enumerate(bucket, 1):
                         action()
                 except BaseException:
-                    del bucket[:done]
-                    if self._unsent is not None:
-                        bucket.insert(0, self._unsent)
-                        self._unsent = None
+                    bucket[:done] = self._unsent
+                    self._unsent = []
                     if not bucket:
                         heapq.heappop(queue)
                         del buckets[when]
@@ -540,17 +539,18 @@ class Simulation:
 
     def _flush(self, router: Router):
         router._scheduled_boundary = None
+        if not router.pending:
+            return   # nothing to send; an empty batch would count -1 extra events
         pending, router.pending = sorted(router.pending), set()
         sender, now = router.rid, self.clock.now
         # the neighbors grouped by delivery time, each group in router id
         # order; per prefix, one message serves a whole group, since it names
-        # no receiver, and one action delivers it to the group, queued as
-        # schedule() would queue it
+        # no receiver, and one action delivers the group's messages in prefix
+        # order, queued as schedule() would queue it
         groups: dict[float, list[RouterId]] = {}
         for neighbor, delay in sorted(router.neighbors.items()):
             groups.setdefault(now + delay, []).append(neighbor)
-        targets = [(when, self._bucket(when), group) for when, group in groups.items()]
-        deliver = self._deliver  # one bound method for all the flush's actions
+        batches = [(when, group, []) for when, group in groups.items()]
         head = _ADVERT_RANK_HEAD | sender.asn << 32 | sender.index
         for prefix in pending:
             best = router.best.get(prefix)
@@ -561,27 +561,32 @@ class Simulation:
                 advert = _unchecked_route(
                     prefix, sender, path, DEFAULT_LOCAL_PREF, best.med, 0,
                     best.metric, True, head | len(path) << 96 | best.med << 64)
-            for when, bucket, group in targets:
-                msg = UpdateMessage(sender, prefix, when, advert)
-                bucket.append(partial(deliver, group, msg))
+            for when, _, msgs in batches:
+                msgs.append(UpdateMessage(sender, prefix, when, advert))
+        for when, group, msgs in batches:
+            self._bucket(when).append(partial(self._deliver, group, msgs))
 
-    def _deliver(self, receivers: list[RouterId], msg: UpdateMessage) -> None:
-        """Deliver one message to each receiver in order, one event each.
+    def _deliver(self, receivers: list[RouterId], msgs: list[UpdateMessage]) -> None:
+        """Deliver each message in order to each receiver in order, one event
+        per delivery.
 
-        If a delivery raises, the receivers after it are left in
-        ``_unsent`` as one action, which ``run_until`` queues again at the
-        head of the bucket.
+        If a delivery raises, the rest of that message's receivers, then the
+        later messages, are left in ``_unsent`` as actions, which
+        ``run_until`` queues again at the head of the bucket.
         """
         process_update = self.process_update
         try:
-            for receiver in receivers:
-                process_update(receiver, msg)
+            for msg in msgs:
+                for receiver in receivers:
+                    process_update(receiver, msg)
         except BaseException:
             rest = receivers[receivers.index(receiver) + 1:]
-            if rest:
-                self._unsent = partial(self._deliver, rest, msg)
+            later = msgs[msgs.index(msg) + 1:]
+            self._unsent = [partial(self._deliver, group, batch)
+                            for group, batch in ((rest, [msg]), (receivers, later))
+                            if group and batch]
             raise
-        self._extra_events += len(receivers) - 1
+        self._extra_events += len(receivers) * len(msgs) - 1
 
 
 # -- external interfaces ----------------------------------------------------

@@ -3,6 +3,7 @@ import heapq
 import json
 import math
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +30,7 @@ from blockjack.types import MAX_ASN, MAX_U32, Prefix, RouterId
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("172.16.0.0/20")
+P3 = Prefix.parse("192.168.1.0/24")
 A = RouterId(10)
 B = RouterId(20)
 C = RouterId(30)
@@ -619,13 +621,25 @@ def test_a_flood_delivers_in_time_then_flush_then_router_id_order(deliveries):
     ]
 
 
-def test_a_flush_queues_one_action_per_prefix_and_delivery_time():
+def test_a_flush_queues_one_action_per_delivery_time():
     sim = flood_script()
     sim.run_until(30.0)
-    # two prefixes, each to a group of four at 30.1 and a group of one at 30.5
+    # both prefixes in one action to the group of four at 30.1, and in one
+    # to the group of one at 30.5
     assert {when: len(bucket) for when, bucket in sim._buckets.items()} == {
-        30.1: 2, 30.5: 2, 45.0: 1}
+        30.1: 1, 30.5: 1, 45.0: 1}
     assert sim.run_until(30.5) == 10
+
+
+def test_a_flush_with_nothing_pending_queues_nothing():
+    sim, clean = flood_script(), flood_script()
+    for each in (sim, clean):
+        each.run_until(30.0)   # the hub has flushed, so nothing is pending
+    buckets = {when: list(bucket) for when, bucket in sim._buckets.items()}
+    sim._flush(sim.routers[HUB])
+    assert sim._buckets == buckets and sim._queue == clean._queue
+    assert sim.run_until(200.0) == clean.run_until(200.0)
+    assert sim.events_processed == clean.events_processed == 53
 
 
 def test_a_raising_delivery_leaves_the_rest_of_its_flood_queued(deliveries):
@@ -659,6 +673,144 @@ def test_a_raising_delivery_leaves_the_rest_of_its_flood_queued(deliveries):
         (60.1, 1, 10, str(P1), "dropped-loop"), (60.1, 1, 20, str(P1), "dropped-loop"),
         (60.1, 1, 30, str(P1), "dropped-loop")]
     assert sim._queue == [] and sim._buckets == {}
+
+
+class LoggedSimulation(Simulation):
+    """A simulation that logs every process_update call: (time, receiver,
+    sender, prefix, outcome), the outcome None when the call raised."""
+
+    def __init__(self, mari=30.0):
+        super().__init__(mari)
+        self.log = []
+
+    def process_update(self, rid, msg):
+        entry = [self.clock.now, rid, msg.sender, msg.prefix, None]
+        self.log.append(entry)
+        result = super().process_update(rid, msg)
+        entry[-1] = result[0]
+        return result
+
+
+class PerDeliverySimulation(LoggedSimulation):
+    """The reference queue: a flush queues one action per delivery, each
+    prefix in turn, and per prefix each neighbor in router id order."""
+
+    def _flush(self, router):
+        router._scheduled_boundary = None
+        pending, router.pending = sorted(router.pending), set()
+        now = self.clock.now
+        for prefix in pending:
+            best = router.best.get(prefix)
+            advert = None if best is None else Route(
+                prefix, router.rid, router.advertised_path(best), med=best.med,
+                metric=best.metric)
+            for neighbor, delay in sorted(router.neighbors.items()):
+                msg = UpdateMessage(router.rid, prefix, now + delay, advert)
+                self.schedule(now + delay, partial(self.process_update, neighbor, msg))
+
+
+def hub_with_three_spokes(raising):
+    """A hub that floods two prefixes to three spokes in one action, and a
+    marker queued behind that action; with ``raising``, the second spoke's
+    listener raises once, at the first prefix."""
+    sim = LoggedSimulation()
+    for rid in (HUB, C, A, B):
+        sim.add_router(rid)
+    for spoke in (C, A, B):
+        sim.add_link(HUB, spoke, 0.1)
+    sim.originate_prefix(HUB, P1, 0.0)
+    sim.originate_prefix(HUB, P2, 0.0)
+    raised = []
+
+    def listener(rid, prefix, old, new):
+        if raising and not raised and rid == B:
+            raised.append(prefix)
+            raise Boom(str(rid))
+    sim.on_best_change.append(listener)
+    assert sim.run_until(30.0) == 3   # two originations and the hub's flush
+    sim.schedule(30.1, partial(sim.log.append, "marker"))
+    return sim
+
+
+def test_a_delivery_raising_mid_batch_leaves_the_rest_queued_in_order():
+    sim, clean = hub_with_three_spokes(True), hub_with_three_spokes(False)
+    with pytest.raises(Boom):
+        sim.run_until(100.0)
+    assert sim.clock.now == 30.1
+    assert sim.events_processed == 3
+    assert sim.log == [[30.1, A, HUB, P1, "installed"], [30.1, B, HUB, P1, None]]
+    # the rest of the first prefix's receivers, then every receiver of the
+    # second, at the head of the bucket and ahead of the marker
+    head = [(action.args[0], [msg.prefix for msg in action.args[1]])
+            for action in sim._buckets[30.1][:2]]
+    assert head == [([C], [P1]), ([A, B, C], [P2])]
+    assert len(sim._buckets[30.1]) == 3
+    # the next call delivers them as the run that never raised did
+    assert clean.run_until(30.1) == 7
+    assert sim.run_until(30.1) == 5
+    assert sim.log[1][:4] == clean.log[1][:4] and sim.log[2:] == clean.log[2:]
+    assert sim.log[-1] == "marker"
+    assert sim.run_until(100.0) == clean.run_until(100.0)
+    assert sim.log[2:] == clean.log[2:]
+    assert sim.events_processed == clean.events_processed - 2
+    assert all(sim.routers[rid].best == clean.routers[rid].best for rid in sim.routers)
+    assert sim._queue == [] and sim._buckets == {}
+
+
+@st.composite
+def flooded_networks(draw):
+    """2-6 routers, some sharing an ASN, random links whose delays let
+    groups share a time and zero-delay deliveries land in the bucket being
+    drained, an originate/withdraw script, an interval, and run cut times.
+
+    With an interval of 0.1, a change at 0.3 flushes at the boundary
+    0.1 * 3, just above 0.3, and a change at that boundary, before its
+    flush, queues a second flush for 0.4, which finds nothing pending."""
+    count = draw(st.integers(2, 6))
+    asns = draw(st.lists(st.sampled_from([10, 20, 30, 40, 50, 60]),
+                         min_size=count, max_size=count))
+    rids = [RouterId(asn, i) for i, asn in enumerate(asns)]
+    pairs = [(a, b) for i, a in enumerate(rids) for b in rids[i + 1:]]
+    links = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from([0.0, 0.1, 0.5])),
+                          min_size=count - 1, unique_by=lambda link: link[0]))
+    times = [0.0, 0.1, 0.3, 0.1 * 3, 1.0, 30.0, 45.0]
+    script = draw(st.lists(st.tuples(st.sampled_from(times), st.sampled_from(rids),
+                                     st.sampled_from([P1, P2, P3])),
+                           max_size=10))
+    mari = draw(st.sampled_from([30.0, 0.1]))
+    cuts = draw(st.lists(st.sampled_from([0.0, 0.3, 0.35, 1.0, 30.0, 30.1, 45.0]),
+                         max_size=4))
+    return rids, links, sorted(script, key=lambda entry: entry[0]), mari, sorted(cuts)
+
+
+def flood_network(cls, rids, links, script, mari):
+    sim = cls(mari)
+    for rid in rids:
+        sim.add_router(rid)
+    for (a, b), delay in links:
+        sim.add_link(a, b, delay)
+    for t, rid, prefix in script:   # each entry toggles its origination
+        if prefix in sim.routers[rid].originated:
+            sim.withdraw_prefix(rid, prefix, t)
+        else:
+            sim.originate_prefix(rid, prefix, t)
+    return sim
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(flooded_networks())
+def test_batched_deliveries_match_one_action_per_delivery(network):
+    """The log of process_update calls, the returns and counts of run_until
+    and every best route equal those of a queue with one action per
+    delivery."""
+    rids, links, script, mari, cuts = network
+    sim = flood_network(LoggedSimulation, rids, links, script, mari)
+    reference = flood_network(PerDeliverySimulation, rids, links, script, mari)
+    for t in (*cuts, 60.0 + 200 * mari):
+        assert sim.run_until(t) == reference.run_until(t)
+        assert sim.log == reference.log
+        assert sim.events_processed == reference.events_processed
+    assert all(sim.routers[rid].best == reference.routers[rid].best for rid in rids)
 
 
 def test_propagation_one_interval_per_hop():
