@@ -548,10 +548,32 @@ def test_run_until_from_inside_an_event_is_refused():
 HUB = RouterId(1)
 
 
+class LoggedSimulation(Simulation):
+    """A simulation that logs every process_update call: (time, receiver,
+    sender, prefix, outcome), the outcome None when the call raised."""
+
+    def __init__(self, mari=30.0):
+        super().__init__(mari)
+        self.log = []
+
+    def process_update(self, rid, msg):
+        entry = [self.clock.now, rid, msg.sender, msg.prefix, None]
+        self.log.append(entry)
+        result = super().process_update(rid, msg)
+        entry[-1] = result[0]
+        return result
+
+
+def by_asn(log):
+    """A log with each router named by its ASN and each prefix as text."""
+    return [(t, rid.asn, sender.asn, str(prefix), outcome)
+            for t, rid, sender, prefix, outcome in log]
+
+
 def flood_script():
     """A hub that floods two prefixes to four spokes at one delay and to a
     fifth at another; the spoke 2.0 passes them on to one more router."""
-    sim = Simulation()
+    sim = LoggedSimulation()
     spokes = [RouterId(asn) for asn in (5, 2, 4, 3)]
     for rid in (HUB, *spokes, RouterId(6), RouterId(7)):
         sim.add_router(rid)
@@ -565,25 +587,7 @@ def flood_script():
     return sim
 
 
-@pytest.fixture
-def deliveries(monkeypatch):
-    """The log of every process_update call: (time, receiver asn, sender asn,
-    prefix, outcome), the outcome None when the call raised."""
-    log = []
-    process_update = Simulation.process_update
-
-    def logged(sim, rid, msg):
-        entry = [sim.clock.now, rid.asn, msg.sender.asn, str(msg.prefix), None]
-        log.append(entry)
-        result = process_update(sim, rid, msg)
-        entry[-1] = result[0]
-        return result
-
-    monkeypatch.setattr(Simulation, "process_update", logged)
-    return log
-
-
-def test_a_flood_counts_one_event_per_delivery(deliveries):
+def test_a_flood_counts_one_event_per_delivery():
     sim = flood_script()
     runs = [(t, sim.run_until(t), sim.events_processed)
             for t in (0.0, 30.0, 30.1, 30.5, 60.1, 100.0, 200.0)]
@@ -591,14 +595,14 @@ def test_a_flood_counts_one_event_per_delivery(deliveries):
     # spokes; 30.5: 2 to the far spoke; and so on, one event per delivery
     assert runs == [(0.0, 2, 2), (30.0, 1, 3), (30.1, 8, 11), (30.5, 2, 13),
                     (60.1, 21, 34), (100.0, 17, 51), (200.0, 2, 53)]
-    assert len(deliveries) == 36
+    assert len(sim.log) == 36
 
 
-def test_a_flood_delivers_in_time_then_flush_then_router_id_order(deliveries):
+def test_a_flood_delivers_in_time_then_flush_then_router_id_order():
     sim = flood_script()
     sim.run_until(200.0)
     p1, p2 = str(P1), str(P2)
-    assert [tuple(entry) for entry in deliveries] == [
+    assert by_asn(sim.log) == [
         (30.1, 2, 1, p1, "installed"), (30.1, 3, 1, p1, "installed"),
         (30.1, 4, 1, p1, "installed"), (30.1, 5, 1, p1, "installed"),
         (30.1, 2, 1, p2, "installed"), (30.1, 3, 1, p2, "installed"),
@@ -642,8 +646,8 @@ def test_a_flush_with_nothing_pending_queues_nothing():
     assert sim.events_processed == clean.events_processed == 53
 
 
-def test_a_raising_delivery_leaves_the_rest_of_its_flood_queued(deliveries):
-    sim = Simulation()
+def test_a_raising_delivery_leaves_the_rest_of_its_flood_queued():
+    sim = LoggedSimulation()
     for rid in (HUB, C, A, B):
         sim.add_router(rid)
     for spoke in (C, A, B):
@@ -660,35 +664,19 @@ def test_a_raising_delivery_leaves_the_rest_of_its_flood_queued(deliveries):
     # the second of three deliveries raised: it is consumed, the third is not
     assert sim.clock.now == 30.1
     assert sim.events_processed == 2
-    assert [tuple(entry) for entry in deliveries] == [
+    assert by_asn(sim.log) == [
         (30.1, 10, 1, str(P1), "installed"), (30.1, 20, 1, str(P1), None)]
     assert best_row(sim, B, P1)["next_hop"] == HUB
     assert best_row(sim, C, P1) is None
     # the next call delivers it first, then the spokes' flushes at 60.0
     assert sim.run_until(30.1) == 1
-    assert deliveries[-1] == [30.1, 30, 1, str(P1), "installed"]
+    assert by_asn(sim.log)[-1] == (30.1, 30, 1, str(P1), "installed")
     assert sim.run_until(100.0) == 6
     assert sim.events_processed == 9
-    assert [tuple(entry) for entry in deliveries[3:]] == [
+    assert by_asn(sim.log[3:]) == [
         (60.1, 1, 10, str(P1), "dropped-loop"), (60.1, 1, 20, str(P1), "dropped-loop"),
         (60.1, 1, 30, str(P1), "dropped-loop")]
     assert sim._queue == [] and sim._buckets == {}
-
-
-class LoggedSimulation(Simulation):
-    """A simulation that logs every process_update call: (time, receiver,
-    sender, prefix, outcome), the outcome None when the call raised."""
-
-    def __init__(self, mari=30.0):
-        super().__init__(mari)
-        self.log = []
-
-    def process_update(self, rid, msg):
-        entry = [self.clock.now, rid, msg.sender, msg.prefix, None]
-        self.log.append(entry)
-        result = super().process_update(rid, msg)
-        entry[-1] = result[0]
-        return result
 
 
 class PerDeliverySimulation(LoggedSimulation):
