@@ -9,6 +9,14 @@ Timing is simulated, not measured: every mutating call is billed the
 full request + endorsement + distribution latency of the cost model,
 and verification is billed the request leg only, so elapsed simulated
 time reflects how expensive each pipeline is rather than host speed.
+
+A ledger holds one record per committed transaction, so its record
+types (records, transactions, blocks, credentials and results) are
+slotted dataclasses: no instance has a ``__dict__``, and none takes an
+attribute its class does not declare.  Each distinct endorser set is one
+tuple per ledger, shared by every transaction it endorsed, whether
+committed or replayed by ``load``; and ``load`` compares a dump's world
+state with the replayed one record by record, building no second copy.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ class VerificationSignal(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerRecord:
     """The four-column ownership row held in world state."""
 
@@ -64,7 +72,7 @@ class LedgerRecord:
                 "doc_type": self.doc_type, "active": self.active}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credential:
     """Opaque bearer token bound to a subject (and its ASN, for routers)."""
 
@@ -74,7 +82,7 @@ class Credential:
     issued_by: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     kind: str
     record: LedgerRecord
@@ -94,7 +102,7 @@ class Transaction:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     index: int
     prev_hash: str
@@ -348,19 +356,19 @@ def estimate_authorization_cost(model: CostModel) -> float:
     return model.authorization_cost()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitResult:
     block_index: int
     completed_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Denial:
     reason: str
     completed_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyResult:
     signal: VerificationSignal
     completed_at: float
@@ -397,6 +405,9 @@ class ConsortiumLedger:
                         for i in range(cost_model.member_count)]
         genesis = Block(index=0, prev_hash=GENESIS_PREV_HASH, transactions=[])
         self.blocks: list[Block] = [genesis.seal()]
+        # one tuple per distinct endorser set, shared by every transaction
+        # it endorsed, so commits by the same members hold no copies
+        self._endorser_sets: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.stats = {"credentialed_requests": 0, "commits": 0, "denials": 0,
                       "verifies": 0}
 
@@ -462,6 +473,7 @@ class ConsortiumLedger:
             reason = chaincode_evaluate(draft, self.world_state) or REASON_CONSENSUS_FAILURE
             self.stats["denials"] += 1
             return Denial(reason=reason, completed_at=when)
+        approvals = self._endorser_sets.setdefault(approvals, approvals)
         tx = Transaction(kind, record, cred.subject, cred.asn, approvals, now)
         block = Block(index=len(self.blocks), prev_hash=self.blocks[-1].hash,
                       transactions=[tx]).seal()
@@ -556,21 +568,25 @@ class ConsortiumLedger:
              cost_model: CostModel = CALIBRATED_COST) -> "ConsortiumLedger":
         """Rebuild a ledger by replaying a dump's blocks.
 
-        Raises LedgerError for a dump of the wrong shape, a broken chain,
-        a transaction that the chaincode denies against the state replayed
-        before it or that lacks ``endorsements_required`` distinct member
-        endorsements, and a member count or world state that disagrees
-        with the blocks.
+        Raises LedgerError for a dump of the wrong shape or with a hash
+        algorithm other than sha256, a broken chain, a transaction that
+        the chaincode denies against the state replayed before it or that
+        lacks ``endorsements_required`` distinct member endorsements, and
+        a member count or world state that disagrees with the blocks.
         """
-        member_count, version, world_state, raw_blocks = _fields(doc, _DUMP_FIELDS,
-                                                                  "the dump")
+        algorithm, member_count, version, world_state, raw_blocks = \
+            _fields(doc, _DUMP_FIELDS, "the dump")
+        if algorithm != HASH_ALGORITHM:
+            raise LedgerError(f"malformed dump: hash algorithm {algorithm!r}, "
+                              f"expected {HASH_ALGORITHM!r}")
         if not raw_blocks:
             raise LedgerError("malformed dump: no genesis block")
         if member_count != cost_model.member_count:
             raise LedgerError(f"dump has {member_count} members, "
                               f"cost model has {cost_model.member_count}")
         ledger = cls(cost_model=cost_model)
-        ledger.blocks = [_load_block(raw, i) for i, raw in enumerate(raw_blocks)]
+        shared = ledger._endorser_sets
+        ledger.blocks = [_load_block(raw, i, shared) for i, raw in enumerate(raw_blocks)]
         broken = ledger.verify_chain()
         if broken is not None:
             raise LedgerError(f"refusing to load broken chain at block {broken}")
@@ -587,15 +603,19 @@ class ConsortiumLedger:
                     raise LedgerError(f"block {block.index}: fewer than {required} "
                                       f"member endorsements")
                 state.apply(tx)
-        if state.version != version or state.to_dict() != world_state:
+        # record by record, so no second copy of the world state is built
+        records = state.records
+        if (state.version != version or len(world_state) != len(records)
+                or any(world_state.get(prefix) != record.to_dict()
+                       for prefix, record in records.items())):
             raise LedgerError("dump's world state disagrees with its blocks")
         return ledger
 
 
 # A dump's fields with their types as ``json.loads`` gives them, each dict
 # in the order of the constructor its values are passed to.
-_DUMP_FIELDS = {"member_count": (int,), "version": (int,), "world_state": (dict,),
-                "blocks": (list,)}
+_DUMP_FIELDS = {"hash_algorithm": (str,), "member_count": (int,), "version": (int,),
+                "world_state": (dict,), "blocks": (list,)}
 _BLOCK_FIELDS = {"index": (int,), "prev_hash": (str,), "transactions": (list,),
                  "hash": (str,)}
 _TX_FIELDS = {"kind": (str,), "record": (dict,), "submitter": (str,),
@@ -624,16 +644,17 @@ def _fields(obj, spec: dict, what: str) -> list:
     return [obj[key] for key in spec]
 
 
-def _load_block(raw, position: int) -> Block:
+def _load_block(raw, position: int, endorser_sets: dict) -> Block:
     try:
         index, prev_hash, raw_txs, block_hash = _fields(raw, _BLOCK_FIELDS, "a block")
-        return Block(index, prev_hash, [_load_transaction(t) for t in raw_txs],
-                     block_hash)
+        return Block(index, prev_hash,
+                     [_load_transaction(t, endorser_sets) for t in raw_txs], block_hash)
     except LedgerError as exc:
         raise LedgerError(f"{exc} (block {position})") from None
 
 
-def _load_transaction(raw) -> Transaction:
+def _load_transaction(raw, endorser_sets: dict) -> Transaction:
+    """A transaction, its endorsements the tuple ``endorser_sets`` holds for them."""
     kind, raw_record, submitter, submitter_asn, endorsements, submitted_at = \
         _fields(raw, _TX_FIELDS, "a transaction")
     if not all(type(member_id) is str for member_id in endorsements):
@@ -643,5 +664,6 @@ def _load_transaction(raw) -> Transaction:
         check_asn(record.asn)
     except ValueError as exc:
         raise LedgerError(f"malformed dump: a record's {exc}") from None
-    return Transaction(kind, record, submitter, submitter_asn, tuple(endorsements),
-                       submitted_at)
+    endorsements = tuple(endorsements)
+    return Transaction(kind, record, submitter, submitter_asn,
+                       endorser_sets.setdefault(endorsements, endorsements), submitted_at)

@@ -31,7 +31,7 @@ class AuthenticationError(Exception):
     """Request rejected before it ever reaches the ledger."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GatewayRequest:
     """One gateway call; `active` is meaningful for update_status only."""
 
