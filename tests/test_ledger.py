@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from blockjack.ledger import (
     CALIBRATED_COST,
+    DOC_TYPE,
     Block,
     CommitResult,
     ConsortiumLedger,
@@ -27,13 +28,15 @@ from blockjack.ledger import (
     REASON_NOT_FOUND,
     Transaction,
     VerificationSignal,
+    VerifyResult,
     WorldState,
     _canonical_block,
     canonical_bytes,
     chaincode_evaluate,
     estimate_authorization_cost,
 )
-from blockjack.types import RouterId
+from blockjack.profiler import ACTION_VERIFY, GatewayRequest
+from blockjack.types import Prefix, RouterId
 
 UNIT_COST = CostModel(1.0, 1.0, 1.0, 4)
 
@@ -487,6 +490,35 @@ def test_dump_roundtrip_lossless_and_byte_stable():
     assert loaded.world_state.get("10.0.0.0/24").active is False
 
 
+# -- record layout ---------------------------------------------------------------
+
+SLOTTED = [LedgerRecord("10.0.0.0/24", 10), Credential("admin", None, "s", "ca"),
+           tx("register", "10.0.0.0/24", 10), Block(0, GENESIS_PREV_HASH, []),
+           CommitResult(1, 0.0), Denial(REASON_CONFLICT, 0.0),
+           VerifyResult(VerificationSignal.VALID, 0.0),
+           GatewayRequest(ACTION_VERIFY, Prefix.parse("10.0.0.0/24"), 10, RouterId(10))]
+
+
+@pytest.mark.parametrize("record", SLOTTED, ids=lambda record: type(record).__name__)
+def test_record_types_hold_no_instance_dict(record):
+    assert not hasattr(record, "__dict__")
+    # a frozen slotted class can raise TypeError here (CPython 3.11 does): its
+    # __setattr__ calls super() on the class as it was before slots were added
+    with pytest.raises((AttributeError, TypeError)):
+        record.note = "x"
+
+
+def test_transactions_share_one_tuple_per_endorser_set_committed_or_loaded():
+    ledger, _, r10, r99 = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    ledger.submit_authorization("10.1.0.0/24", 99, r99)
+    for replica in (ledger, ConsortiumLedger.load(ledger.dump(), cost_model=UNIT_COST),
+                    ConsortiumLedger.load(json.loads(ledger.to_json()), cost_model=UNIT_COST)):
+        first, second = (block.transactions[0] for block in replica.blocks[1:])
+        assert first.endorsements == ALL_MEMBERS
+        assert first.endorsements is second.endorsements
+
+
 def test_load_refuses_broken_chain():
     ledger, _, r10, _ = make_ledger()
     ledger.submit_authorization("10.0.0.0/24", 10, r10)
@@ -504,6 +536,13 @@ FORGERIES = {
         {"192.0.2.0/24": LedgerRecord("192.0.2.0/24", 99).to_dict()}),
     "missing key": lambda doc: doc["world_state"].pop("10.1.0.0/24"),
     "version": lambda doc: doc.update(version=doc["version"] + 1),
+    # same record count, one prefix swapped for an unregistered one
+    "renamed key": lambda doc: doc["world_state"].update(
+        {"192.0.2.0/24": dict(doc["world_state"].pop("10.1.0.0/24"),
+                              prefix="192.0.2.0/24")}),
+    "record is null": lambda doc: doc["world_state"].update({"10.0.0.0/24": None}),
+    "record is a list": lambda doc: doc["world_state"].update(
+        {"10.0.0.0/24": list(doc["world_state"]["10.0.0.0/24"].items())}),
 }
 
 
@@ -516,6 +555,56 @@ def test_load_refuses_world_state_that_disagrees_with_blocks(forgery):
     FORGERIES[forgery](doc)
     with pytest.raises(LedgerError):
         ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+
+
+WS_PREFIXES = ["10.0.0.0/24", "10.1.0.0/24", "10.2.0.0/24", "192.0.2.0/24"]
+ws_values = st.sampled_from([None, [], ["10.0.0.0/24", 10], {}, "", "10.0.0.0/24",
+                             DOC_TYPE, 10, 99, 10.0, 1, 0, True, False])
+# One edit of a dump's world state: drop a key, set it to a value, move a
+# record to another key, or set or remove one field of a record (of a new
+# record copied from the first, for the unregistered prefix).
+ws_edits = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(WS_PREFIXES)),
+    st.tuples(st.just("set"), st.sampled_from(WS_PREFIXES), ws_values),
+    st.tuples(st.just("move"), st.sampled_from(WS_PREFIXES), st.sampled_from(WS_PREFIXES)),
+    st.tuples(st.just("field"), st.sampled_from(WS_PREFIXES),
+              st.sampled_from(["prefix", "asn", "doc_type", "active", "extra"]), ws_values),
+    st.tuples(st.just("unset"), st.sampled_from(WS_PREFIXES),
+              st.sampled_from(["prefix", "asn", "doc_type", "active"])),
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(ws_edits)
+def test_load_refuses_an_edited_world_state_exactly_when_it_differs(edit):
+    """The record-by-record check agrees with comparing whole copies."""
+    ledger, _, r10, r99 = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    ledger.submit_authorization("10.1.0.0/24", 99, r99)
+    ledger.submit_authorization("10.2.0.0/24", 10, r10)
+    ledger.submit_status_update("10.2.0.0/24", 10, False, r10)
+    doc = json.loads(ledger.to_json())
+    edited = doc["world_state"]
+    op, prefix, *args = edit
+    if op == "drop":
+        edited.pop(prefix, None)
+    elif op == "set":
+        edited[prefix] = args[0]
+    elif op == "move":
+        if prefix in edited:
+            edited[args[0]] = edited.pop(prefix)
+    else:
+        record = edited.setdefault(prefix, dict(edited["10.0.0.0/24"]))
+        if op == "field":
+            record[args[0]] = args[1]
+        else:
+            del record[args[0]]
+    if ledger.world_state.to_dict() != edited:
+        with pytest.raises(LedgerError, match="world state disagrees"):
+            ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+    else:
+        assert ConsortiumLedger.load(doc, cost_model=UNIT_COST).to_json() == \
+            ledger.to_json()
 
 
 def test_load_refuses_rehashed_chain_that_does_not_replay():
@@ -587,6 +676,8 @@ MALFORMED = {
     "endorsement is a list": lambda doc: doc["blocks"][1]["transactions"][0].update(
         endorsements=[["member-0"]]),
     "member_count is a string": lambda doc: doc.update(member_count="4"),
+    "no hash_algorithm": lambda doc: doc.pop("hash_algorithm"),
+    "hash_algorithm is md5": lambda doc: doc.update(hash_algorithm="md5"),
 }
 
 
