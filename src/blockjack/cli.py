@@ -78,10 +78,11 @@ def cmd_run(args) -> int:
     write_metrics(metrics, args.out)
     if args.summary:
         write_summary([metrics], args.summary)
-    for path, doc in ((args.dump_ledger, metrics.ledger_dump),
-                      (args.topology_out, metrics.topology_doc)):
-        if path:
-            write_json(doc, path)
+    if args.dump_ledger:
+        with open(args.dump_ledger, "w") as handle:
+            handle.write(metrics.ledger.to_json())
+    if args.topology_out:
+        write_json(metrics.topology_doc, args.topology_out)
     if args.reports_out:
         with open(args.reports_out, "w") as handle:
             handle.write("\n".join(metrics.reports) + "\n")

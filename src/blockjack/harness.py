@@ -12,6 +12,7 @@ clean again (neutralized).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -134,11 +135,24 @@ class ScenarioMetrics:
     records: list[AttackRecord]
     end_state_safe: bool
     collateral_ok: bool
+    ledger: ConsortiumLedger
     reports: list[str] = field(default_factory=list)
-    ledger_dump: dict = field(default_factory=dict)
-    topology_doc: dict = field(default_factory=dict)
     appearances: list[Appearance] = field(default_factory=list)
     filter_installs: list[tuple[float, FilterRule]] = field(default_factory=list)
+
+    @property
+    def topology_doc(self) -> dict:
+        """The run's topology document, generated again from its config.
+
+        Built on read, not during the run, so a caller that never reads
+        it never holds a dict per link beside the live routing plane.
+        """
+        return scenario_topology(self.config).document()
+
+    @functools.cached_property
+    def ledger_dump(self) -> dict:
+        """The run's ``ledger.dump()``, built on the first read and kept."""
+        return self.ledger.dump()
 
     @property
     def attack_count(self) -> int:
@@ -260,10 +274,15 @@ def inject_attack(sim: Simulation, ledger: ConsortiumLedger, monitor: AttackMoni
     return attack
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioMetrics:
-    topo = gen_topology(cfg.kind, cfg.routers, cfg.adversarial_prefixes,
+def scenario_topology(cfg: ScenarioConfig) -> ScenarioTopology:
+    """The topology a run of ``cfg`` uses; the same one on every call."""
+    return gen_topology(cfg.kind, cfg.routers, cfg.adversarial_prefixes,
                         seed=cfg.seed, connectivity=cfg.resolved_connectivity,
                         delay=cfg.link_delay)
+
+
+def run_scenario(cfg: ScenarioConfig) -> ScenarioMetrics:
+    topo = scenario_topology(cfg)
     sim = build_simulation(topo, cfg.mari)
     ledger = ConsortiumLedger(cost_model=cfg.cost_model)  # genesis only
     profiler = Profiler(ledger)
@@ -311,9 +330,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioMetrics:
         records=attacks,
         end_state_safe=end_state_safe,
         collateral_ok=collateral_ok,
+        ledger=ledger,
         reports=[rep.to_json_line() for rep in dispatcher.reports],
-        ledger_dump=ledger.dump(),
-        topology_doc=topo.document(),
         appearances=monitor.appearance_events,
         filter_installs=monitor.filter_events,
     )

@@ -15,8 +15,10 @@ types (records, transactions, blocks, credentials and results) are
 slotted dataclasses: no instance has a ``__dict__``, and none takes an
 attribute its class does not declare.  Each distinct endorser set is one
 tuple per ledger, shared by every transaction it endorsed, whether
-committed or replayed by ``load``; and ``load`` compares a dump's world
-state with the replayed one record by record, building no second copy.
+committed or replayed by ``load``; each block ``load`` rebuilds holds
+the previous block's hash string as its ``prev_hash``, not a copy; and
+``load`` compares a dump's world state with the replayed one record by
+record, building no second copy.
 """
 
 from __future__ import annotations
@@ -570,9 +572,10 @@ class ConsortiumLedger:
 
         Raises LedgerError for a dump of the wrong shape or with a hash
         algorithm other than sha256, a broken chain, a transaction that
-        the chaincode denies against the state replayed before it or that
-        lacks ``endorsements_required`` distinct member endorsements, and
-        a member count or world state that disagrees with the blocks.
+        the chaincode denies against the state replayed before it, that
+        lacks ``endorsements_required`` distinct member endorsements or
+        whose ``submitter`` is not router text of its ``submitter_asn``,
+        and a member count or world state that disagrees with the blocks.
         """
         algorithm, member_count, version, world_state, raw_blocks = \
             _fields(doc, _DUMP_FIELDS, "the dump")
@@ -590,9 +593,13 @@ class ConsortiumLedger:
         broken = ledger.verify_chain()
         if broken is not None:
             raise LedgerError(f"refusing to load broken chain at block {broken}")
+        # equal, so each link can hold the previous block's hash string itself
+        for previous, block in zip(ledger.blocks, ledger.blocks[1:]):
+            block.prev_hash = previous.hash
         state = ledger.world_state
         members = {member.member_id for member in ledger.members}
         required = cost_model.endorsements_required
+        submitter_asns: dict[str, Optional[int]] = {}
         for block in ledger.blocks:
             for tx in block.transactions:
                 reason = chaincode_evaluate(tx, state)
@@ -602,6 +609,12 @@ class ConsortiumLedger:
                 if len(members.intersection(tx.endorsements)) < required:
                     raise LedgerError(f"block {block.index}: fewer than {required} "
                                       f"member endorsements")
+                if tx.submitter not in submitter_asns:
+                    submitter_asns[tx.submitter] = _router_asn(tx.submitter)
+                if submitter_asns[tx.submitter] != tx.submitter_asn:
+                    raise LedgerError(f"block {block.index}: submitter "
+                                      f"{tx.submitter!r} is not a router of AS "
+                                      f"{tx.submitter_asn}")
                 state.apply(tx)
         # record by record, so no second copy of the world state is built
         records = state.records
@@ -642,6 +655,14 @@ def _fields(obj, spec: dict, what: str) -> list:
             raise LedgerError(f"malformed dump: {what} has a "
                               f"{type(obj[key]).__name__} {key!r}")
     return [obj[key] for key in spec]
+
+
+def _router_asn(text: str) -> Optional[int]:
+    """The ASN of ``asn.index`` router text, or None for any other text."""
+    try:
+        return RouterId.parse(text).asn
+    except ValueError:
+        return None
 
 
 def _load_block(raw, position: int, endorser_sets: dict) -> Block:

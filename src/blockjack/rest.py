@@ -12,8 +12,9 @@ Endpoints (bodies are UTF-8 JSON):
     GET  /prefix?prefix=...&asn=...&router_id=...
 
 Errors come back as {"error": {"class": ..., "message": ...}}: 400 for a
-malformed request, 401 for a failed authentication, 404 for an unknown
-path, 413 for a body above MAX_BODY_BYTES and 500 for anything else.
+malformed request (a body nested too deeply to parse included), 401 for
+a failed authentication, 404 for an unknown path, 413 for a body above
+MAX_BODY_BYTES and 500 for anything else.
 """
 
 from __future__ import annotations
@@ -110,7 +111,11 @@ class GatewayHTTPServer:
                     raise PayloadTooLarge(f"body of {length} bytes exceeds "
                                           f"{MAX_BODY_BYTES}")
                 raw = self.rfile.read(length) if length else b"{}"
-                return json.loads(raw.decode("utf-8"))
+                try:
+                    return json.loads(raw.decode("utf-8"))
+                except RecursionError:
+                    # the request's fault here; elsewhere it would be a server bug
+                    raise ValueError("body nested too deeply") from None
 
             def do_POST(self):
                 try:

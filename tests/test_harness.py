@@ -23,7 +23,7 @@ from blockjack.harness import (
     write_summary,
 )
 from blockjack.ledger import ConsortiumLedger, CostModel
-from blockjack.topology import node_depth
+from blockjack.topology import KINDS, ScenarioTopology, gen_topology, node_depth
 from blockjack.types import Prefix, RouterId
 
 
@@ -174,6 +174,47 @@ def test_finished_ledgers_are_freed_without_the_cyclic_collector(monkeypatch):
         assert [ref() for ref in built] == [None, None]
     finally:
         gc.enable()
+
+
+def counting(monkeypatch, cls, name):
+    """Count the calls of ``cls.name`` into the returned list's length."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_run_builds_neither_output_document(monkeypatch):
+    documents = counting(monkeypatch, ScenarioTopology, "document")
+    dumps = counting(monkeypatch, ConsortiumLedger, "dump")
+    metrics = run("multi_path", routers=20, seed=1)
+    assert (len(documents), len(dumps)) == (0, 0)
+    assert metrics.ledger.verify_chain() is None
+
+
+def test_ledger_dump_is_built_once_on_first_read(monkeypatch):
+    metrics = run("single_path", routers=20, seed=1)
+    dumps = counting(monkeypatch, ConsortiumLedger, "dump")
+    first = metrics.ledger_dump
+    assert metrics.ledger_dump is first
+    assert dumps == [metrics.ledger]
+    assert json.dumps(first, sort_keys=True, indent=2) + "\n" == metrics.ledger.to_json()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_topology_doc_is_the_generated_topologys_document(kind):
+    cfg = ScenarioConfig(kind=kind, routers=30, seed=3, connectivity=0.3,
+                         link_delay=0.25)
+    metrics = run_scenario(cfg)
+    want = gen_topology(kind, 30, cfg.adversarial_prefixes, seed=3, connectivity=0.3,
+                        delay=0.25).document()
+    assert metrics.topology_doc == want
+    assert metrics.topology_doc is not metrics.topology_doc
 
 
 # -- single-path runs ----------------------------------------------------------

@@ -717,6 +717,10 @@ FORGED_COMMITS = {
                                      ("member-7", "member-8")),
     "status update by another AS": (tx("update_status", "10.0.0.0/24", 99,
                                        active=False), ALL_MEMBERS),
+    # a free prefix, endorsed by all, but its submitter is not a router of AS 99
+    **{f"submitter {text!r}": (replace(tx("register", "10.9.0.0/24", 99), submitter=text),
+                               ALL_MEMBERS)
+       for text in ["10.0", "admin", "", " 99.0", "99.0.1", "0.0"]},
 }
 
 
@@ -737,6 +741,63 @@ def test_load_accepts_an_appended_commit_that_meets_both_checks():
     doc = resealed_with(ledger, free)
     loaded = ConsortiumLedger.load(doc, cost_model=UNIT_COST)
     assert loaded.world_state.get("10.9.0.0/24").asn == 99
+
+
+@pytest.mark.parametrize("submitter", ["99", "99.0", "99.5", "099.0"])
+def test_load_accepts_a_submitter_that_is_router_text_of_its_as(submitter):
+    ledger, _, r10, _ = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    free = replace(tx("register", "10.9.0.0/24", 99), submitter=submitter,
+                   endorsements=ALL_MEMBERS)
+    loaded = ConsortiumLedger.load(resealed_with(ledger, free), cost_model=UNIT_COST)
+    assert loaded.world_state.get("10.9.0.0/24").asn == 99
+
+
+def rewritten_to_as_666(**changes):
+    """A registration by AS 100 moved to AS 666: its record ASN and
+    submitter_asn set to 666 (plus ``changes``), the world state edited to
+    match and every block hash recomputed, so the chain verifies."""
+    ledger = ConsortiumLedger(cost_model=UNIT_COST)
+    admin = ledger.enroll_admin("admin")
+    ledger.submit_authorization("10.0.0.0/24", 100,
+                                ledger.register_router(RouterId(100), admin))
+    original = ledger.to_json()
+    registration = ledger.blocks[1].transactions[0]
+    ledger.blocks[1].transactions = [replace(
+        registration, record=replace(registration.record, asn=666), submitter_asn=666,
+        **changes)]
+    prev_hash = GENESIS_PREV_HASH
+    for block in ledger.blocks:
+        block.prev_hash = prev_hash
+        prev_hash = block.seal().hash
+    ledger.world_state.records["10.0.0.0/24"] = ledger.blocks[1].transactions[0].record
+    assert ledger.verify_chain() is None and ledger.to_json() != original
+    return json.loads(ledger.to_json())
+
+
+def test_load_refuses_a_rewrite_whose_submitter_names_another_as():
+    doc = rewritten_to_as_666()
+    assert doc["blocks"][1]["transactions"][0]["submitter"] == "100.0"
+    with pytest.raises(LedgerError, match="submitter '100.0' is not a router of AS 666"):
+        ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+
+
+def test_a_rewrite_that_also_renames_the_submitter_still_loads():
+    """Without an anchored head hash, a consistent rewrite cannot be told apart."""
+    loaded = ConsortiumLedger.load(rewritten_to_as_666(submitter="666.0"),
+                                   cost_model=UNIT_COST)
+    assert loaded.world_state.get("10.0.0.0/24").asn == 666
+
+
+def test_loaded_blocks_share_the_previous_blocks_hash():
+    ledger, _, r10, r99 = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    ledger.submit_authorization("10.1.0.0/24", 99, r99)
+    text = ledger.to_json()
+    loaded = ConsortiumLedger.load(json.loads(text), cost_model=UNIT_COST)
+    assert loaded.blocks[1].prev_hash is loaded.blocks[0].hash
+    assert loaded.blocks[2].prev_hash is loaded.blocks[1].hash
+    assert loaded.to_json() == text
 
 
 @pytest.mark.parametrize("asn", [0, -5, 2**40])
@@ -818,6 +879,8 @@ def append_commit(ledger, transaction):
 
 # Strings with quotes, escapes and non-ASCII characters, and submission
 # times that JSON renders in every form: ints, NaN, infinities, 1e300.
+# A submitter must be router text of its AS to load, so only its router
+# index varies; the render-only test below gives it any text.
 odd_text = st.one_of(st.sampled_from(['"', "\\", "\u00e9\"\u00fc", "\u2603\n\t", "\U0001f600",
                                       "\x00\x7f", ""]),
                      st.text(max_size=6))
@@ -825,16 +888,18 @@ odd_time = st.one_of(st.integers(-10**20, 10**20), st.floats(),
                      st.sampled_from([1e300, -0.0, 5]))
 odd_transactions = st.lists(st.tuples(
     st.sampled_from(["register", "update_status"]), odd_text, st.sampled_from([10, 99]),
-    odd_text, st.booleans(), odd_text, odd_time), max_size=8)
+    odd_text, st.booleans(), st.sampled_from(["", ".0", ".7", ".4294967295"]),
+    odd_time), max_size=8)
 
 
 @settings(derandomize=True, deadline=None)
 @given(odd_transactions)
 def test_to_json_renders_odd_loaded_values_as_json_dumps(entries):
     ledger = ConsortiumLedger(cost_model=UNIT_COST)
-    for kind, prefix, asn, doc_type, active, submitter, submitted_at in entries:
+    for kind, prefix, asn, doc_type, active, router_index, submitted_at in entries:
         transaction = Transaction(kind, LedgerRecord(prefix, asn, doc_type, active),
-                                  submitter, asn, ALL_MEMBERS[:2], submitted_at)
+                                  f"{asn}{router_index}", asn, ALL_MEMBERS[:2],
+                                  submitted_at)
         if chaincode_evaluate(transaction, ledger.world_state) is None:
             append_commit(ledger, transaction)
     check_ledger_invariants(ledger, UNIT_COST)

@@ -213,3 +213,19 @@ def test_http_rejects_malformed_content_length(server):
     for length in ["-1", "abc", "1.5", "+3", ""]:
         status, body = raw_post(server, length)
         assert status == 400 and "class" in body["error"], length
+
+
+def test_http_refuses_a_body_nested_too_deeply_and_serves_the_next(server):
+    host, port = server._server.server_address[:2]
+    body = b"[" * 60_000
+    assert len(body) <= MAX_BODY_BYTES
+    conn = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        conn.request("POST", "/admin/enroll", body=body)
+        resp = conn.getresponse()
+        payload = json.loads(resp.read().decode())
+    finally:
+        conn.close()
+    assert resp.status == 400
+    assert payload["error"] == {"class": "ValueError", "message": "body nested too deeply"}
+    assert call(server, "POST", "/admin/enroll", {"name": "admin"})[0] == 200
