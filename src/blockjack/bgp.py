@@ -13,13 +13,13 @@ once, and a dict maps each time to a list of its actions in the order
 they were scheduled.  An action's position in its bucket is its place
 in that order, so draining the earliest bucket in list order, actions
 appended to it while it drains included, runs events in time order and,
-within one time, in the order they were scheduled.  A flush's
-deliveries at one link delay share a time, and each of its prefixes
-shares one message among them, so they are one queued action, which
-calls ``process_update`` for each message in prefix order and, per
-message, each receiver in router id order; each delivery still counts as
-one event.  The heap moves once per distinct time and the bucket grows
-once per (flush, time) rather than once per delivery.  Actions are
+within one time, in the order they were scheduled.  A flush builds one
+message per pending prefix and queues one action per delivery time, all
+sharing that message list; an action calls ``process_update`` for each
+message in prefix order and, per message, each receiver at its time in
+router id order.  Each delivery still counts as one event.  The heap
+moves once per distinct time and the bucket grows once per (flush,
+time) rather than once per delivery.  Actions are
 ``functools.partial`` objects, which are cheaper to build and to call
 than closures.
 
@@ -51,15 +51,14 @@ edits a ``Route`` after constructing it bypasses the checks and leaves
 advertisement serves every neighbor of the sender: each receiver stores
 the advert itself, unless an import ``local_pref`` override applies, in
 which case it stores a copy ranked by the override; and one frozen
-``UpdateMessage`` serves every neighbor at the same delivery time, since
-it names no receiver.
+``UpdateMessage`` serves every neighbor, since it names neither a
+receiver nor a delivery time.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -67,8 +66,6 @@ from operator import attrgetter
 from typing import Callable, Collection, Optional
 
 from .types import MAX_U32, Prefix, RouterId, check_asn, check_u32, integer, number
-
-log = logging.getLogger(__name__)
 
 DEFAULT_MARI = 30.0
 DEFAULT_LINK_DELAY = 0.1
@@ -124,12 +121,11 @@ class Route:
 
 @dataclass(frozen=True, slots=True)
 class UpdateMessage:
-    """An update in flight between two peers: an announce of ``route``,
-    or a withdrawal of the prefix when ``route`` is None."""
+    """An update from ``sender`` to any neighbor at any time: an announce of
+    ``route``, or a withdrawal of the prefix when ``route`` is None."""
 
     sender: RouterId
     prefix: Prefix
-    delivery_time: float
     route: Optional[Route] = None
 
 
@@ -428,7 +424,6 @@ class Simulation:
         Its route must be for the message's prefix, the table it lands in.
         """
         router = self.routers.get(rid) or self._router(rid)
-        assert msg.delivery_time == self.clock.now, "update delivered off-schedule"
         sender, prefix, route = msg.sender, msg.prefix, msg.route
         if route is None:
             table = router.rib.get(prefix)
@@ -444,10 +439,8 @@ class Simulation:
                                   f"a route for {route.prefix}")
         path = route.as_path
         if router.asn in path:
-            log.debug("%s drops %s: own ASN in path %s", rid, prefix, path)
             return ("dropped-loop", None)
         if router.filters and (sender, path[-1]) in router.filters:
-            log.debug("%s drops %s from %s: inbound filter", rid, prefix, sender)
             return ("dropped-filter", None)
         if router.local_pref_in:
             local_pref = router.local_pref_in.get(sender, route.local_pref)
@@ -543,15 +536,8 @@ class Simulation:
             return   # nothing to send; an empty batch would count -1 extra events
         pending, router.pending = sorted(router.pending), set()
         sender, now = router.rid, self.clock.now
-        # the neighbors grouped by delivery time, each group in router id
-        # order; per prefix, one message serves a whole group, since it names
-        # no receiver, and one action delivers the group's messages in prefix
-        # order, queued as schedule() would queue it
-        groups: dict[float, list[RouterId]] = {}
-        for neighbor, delay in sorted(router.neighbors.items()):
-            groups.setdefault(now + delay, []).append(neighbor)
-        batches = [(when, group, []) for when, group in groups.items()]
         head = _ADVERT_RANK_HEAD | sender.asn << 32 | sender.index
+        msgs = []
         for prefix in pending:
             best = router.best.get(prefix)
             if best is None:
@@ -561,9 +547,13 @@ class Simulation:
                 advert = _unchecked_route(
                     prefix, sender, path, DEFAULT_LOCAL_PREF, best.med, 0,
                     best.metric, True, head | len(path) << 96 | best.med << 64)
-            for when, _, msgs in batches:
-                msgs.append(UpdateMessage(sender, prefix, when, advert))
-        for when, group, msgs in batches:
+            msgs.append(UpdateMessage(sender, prefix, advert))
+        # the neighbors grouped by delivery time, each in router id order; one
+        # action per group delivers the one message list, as schedule() would
+        groups: dict[float, list[RouterId]] = {}
+        for neighbor, delay in sorted(router.neighbors.items()):
+            groups.setdefault(now + delay, []).append(neighbor)
+        for when, group in groups.items():
             self._bucket(when).append(partial(self._deliver, group, msgs))
 
     def _deliver(self, receivers: list[RouterId], msgs: list[UpdateMessage]) -> None:

@@ -15,7 +15,7 @@ from .harness import (
     write_summary,
 )
 from .ledger import CALIBRATED_COST
-from .topology import TopologyError
+from .topology import DEFAULT_CONNECTIVITY, TopologyError
 
 SCENARIO_NAMES = {"single": "single_path", "multi": "multi_path",
                   "random": "random"}
@@ -31,18 +31,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True,
                      choices=sorted(SCENARIO_NAMES),
                      help="single (tree), multi (peered tree), or random")
-    run.add_argument("--routers", type=int, default=20)
+    run.add_argument("--routers", type=int, default=ScenarioConfig.routers)
     run.add_argument("--connectivity", type=float, default=None,
                      help="edge probability for random scenarios "
-                          "(default 0.25; 0.5 at 20 routers)")
-    run.add_argument("--attacks", type=int, default=5,
+                          f"(default {DEFAULT_CONNECTIVITY}; 0.5 at 20 routers)")
+    run.add_argument("--attacks", type=int,
+                     default=ScenarioConfig.adversarial_prefixes,
                      help="number of adversarial prefixes")
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--duration", type=float, default=600.0,
+    run.add_argument("--seed", type=int, default=ScenarioConfig.seed)
+    run.add_argument("--duration", type=float, default=ScenarioConfig.duration,
                      help="simulated seconds")
-    run.add_argument("--mari", type=float, default=30.0,
+    run.add_argument("--mari", type=float, default=ScenarioConfig.mari,
                      help="route advertisement interval, simulated seconds")
-    run.add_argument("--scan-interval", type=float, default=1.0,
+    run.add_argument("--scan-interval", type=float,
+                     default=ScenarioConfig.scan_interval,
                      help="dispatcher scan period, simulated seconds")
     run.add_argument("--attack-at", type=float, default=None,
                      help="injection time (default: mid-run)")

@@ -32,6 +32,7 @@ log = logging.getLogger(__name__)
 
 ACCEPT = "accept"
 FILTER = "filter"
+DEFAULT_SCAN_INTERVAL = 1.0
 
 
 class OriginEntry(NamedTuple):
@@ -84,7 +85,7 @@ class Dispatcher:
     """
 
     def __init__(self, sim: Simulation, gateway: Profiler, home: RouterId,
-                 scan_interval: float = 1.0):
+                 scan_interval: float = DEFAULT_SCAN_INTERVAL):
         # a chained comparison, which NaN fails as well as the infinities
         if not 0 < scan_interval < math.inf:
             raise ValueError(f"scan_interval must be positive and finite, "

@@ -20,11 +20,11 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bgp import FilterRule, Route, Simulation
-from .dispatcher import Dispatcher
+from .bgp import DEFAULT_LINK_DELAY, DEFAULT_MARI, FilterRule, Route, Simulation
+from .dispatcher import DEFAULT_SCAN_INTERVAL, Dispatcher
 from .ledger import CALIBRATED_COST, CommitResult, ConsortiumLedger, CostModel
 from .profiler import ACTION_ADD, GatewayRequest, Profiler
-from .topology import KINDS, ScenarioTopology, gen_topology
+from .topology import DEFAULT_CONNECTIVITY, KINDS, ScenarioTopology, gen_topology
 from .types import Prefix, RouterId
 
 HOME_PREFIX = Prefix.parse("203.0.113.0/24")
@@ -45,9 +45,9 @@ class ScenarioConfig:
     adversarial_prefixes: int = 5
     seed: int = 1
     duration: float = 600.0
-    mari: float = 30.0
-    scan_interval: float = 1.0
-    link_delay: float = 0.1
+    mari: float = DEFAULT_MARI
+    scan_interval: float = DEFAULT_SCAN_INTERVAL
+    link_delay: float = DEFAULT_LINK_DELAY
     cost_model: CostModel = field(default_factory=lambda: CALIBRATED_COST)
     attack_at: Optional[float] = None      # default: mid-run
     trial: int = 0
@@ -84,7 +84,7 @@ class ScenarioConfig:
     def resolved_connectivity(self) -> float:
         if self.connectivity is not None:
             return self.connectivity
-        return 0.5 if self.routers == 20 else 0.25
+        return 0.5 if self.routers == 20 else DEFAULT_CONNECTIVITY
 
     @property
     def resolved_attack_at(self) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -636,12 +637,17 @@ _TX_FIELDS = {"kind": (str,), "record": (dict,), "submitter": (str,),
               "submitted_at": (float, int)}
 _RECORD_FIELDS = {"prefix": (str,), "asn": (int,), "doc_type": (str,),
                   "active": (bool,)}
+# The largest request time: each time up to it has a float and a JSON form.
+_MAX_TIME = sys.float_info.max
 
 
 def _check_time(now) -> None:
-    """Refuse a request time that is not an int or a float, before any count."""
+    """Refuse a request time that is not a finite int or float, before any count."""
     if type(now) not in _TX_FIELDS["submitted_at"]:
         raise TypeError(f"now must be an int or a float, got {now!r}")
+    # false for NaN as well as for the infinities and larger ints
+    if not abs(now) <= _MAX_TIME:
+        raise ValueError(f"now must be finite, got {now}")
 
 
 def _fields(obj, spec: dict, what: str) -> list:

@@ -176,8 +176,9 @@ class GatewayHTTPServer:
         self._thread.start()
 
     def stop(self):
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
+        """Stop serving and close the socket; harmless unstarted or repeated."""
+        if self._thread is not None:   # shutdown() waits for serve_forever to end
+            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()

@@ -14,9 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .bgp import DEFAULT_LINK_DELAY
 from .types import RouterId
 
 ASN_BASE = 64512
+DEFAULT_CONNECTIVITY = 0.25
 # Connected draws tried per random topology before giving up.
 MAX_ATTEMPTS = 64
 
@@ -32,7 +34,6 @@ class TopologyError(Exception):
 
 @dataclass
 class ScenarioTopology:
-    kind: str
     routers: list[RouterId]
     links: list[tuple[RouterId, RouterId, float]]
     dispatcher: RouterId
@@ -109,8 +110,7 @@ def tree_topology(kind: str, n: int, attacks: int, delay: float) -> ScenarioTopo
     if kind == MULTI_PATH:
         links = links + _level_peer_links(rids, delay)
     victims, adversaries = _tree_placement(rids, attacks)
-    return ScenarioTopology(kind=kind,
-                            routers=rids,
+    return ScenarioTopology(routers=rids,
                             links=links,
                             dispatcher=rids[0],
                             victims=victims,
@@ -161,7 +161,6 @@ def random_topology(n: int, connectivity: float, attacks: int, seed: int,
             adversaries = [adversaries[k % len(adversaries)] for k in range(attacks)]
             rids = [_rid(i) for i in range(n)]
             return ScenarioTopology(
-                kind=RANDOM,
                 routers=rids,
                 links=[(rids[a], rids[b], delay) for a, b in sorted(edges)],
                 dispatcher=rids[dispatcher],
@@ -172,8 +171,8 @@ def random_topology(n: int, connectivity: float, attacks: int, seed: int,
 
 
 def gen_topology(kind: str, n: int, attacks: int, seed: int = 0,
-                 connectivity: float = 0.25,
-                 delay: float = 0.1) -> ScenarioTopology:
+                 connectivity: float = DEFAULT_CONNECTIVITY,
+                 delay: float = DEFAULT_LINK_DELAY) -> ScenarioTopology:
     if kind in (SINGLE_PATH, MULTI_PATH):
         return tree_topology(kind, n, attacks, delay)
     if kind == RANDOM:

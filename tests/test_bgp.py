@@ -260,7 +260,7 @@ def test_best_is_the_brute_force_pick_of_the_valid_routes_after_every_update(
             path = (sender.asn,) + tuple(range(100, 100 + hops)) + (origin,)
             route = Route(prefix=prefix, next_hop=sender, as_path=path,
                           weight=weight, is_valid=valid)
-        sim.process_update(HUB, UpdateMessage(sender, prefix, sim.clock.now, route))
+        sim.process_update(HUB, UpdateMessage(sender, prefix, route))
         for held in (P1, P2):
             table = hub.rib.get(held, {})
             expected = brute_force_best([r for r in table.values() if r.is_valid])
@@ -570,10 +570,10 @@ def by_asn(log):
             for t, rid, sender, prefix, outcome in log]
 
 
-def flood_script():
+def flood_script(cls=LoggedSimulation):
     """A hub that floods two prefixes to four spokes at one delay and to a
     fifth at another; the spoke 2.0 passes them on to one more router."""
-    sim = LoggedSimulation()
+    sim = cls()
     spokes = [RouterId(asn) for asn in (5, 2, 4, 3)]
     for rid in (HUB, *spokes, RouterId(6), RouterId(7)):
         sim.add_router(rid)
@@ -693,7 +693,7 @@ class PerDeliverySimulation(LoggedSimulation):
                 prefix, router.rid, router.advertised_path(best), med=best.med,
                 metric=best.metric)
             for neighbor, delay in sorted(router.neighbors.items()):
-                msg = UpdateMessage(router.rid, prefix, now + delay, advert)
+                msg = UpdateMessage(router.rid, prefix, advert)
                 self.schedule(now + delay, partial(self.process_update, neighbor, msg))
 
 
@@ -743,6 +743,27 @@ def test_a_delivery_raising_mid_batch_leaves_the_rest_queued_in_order():
     assert sim.events_processed == clean.events_processed - 2
     assert all(sim.routers[rid].best == clean.routers[rid].best for rid in sim.routers)
     assert sim._queue == [] and sim._buckets == {}
+
+
+def test_a_flush_at_two_delays_delivers_one_message_list_at_each():
+    sim, reference = flood_script(), flood_script(PerDeliverySimulation)
+    assert sim.run_until(30.0) == reference.run_until(30.0)
+    [near], [far] = sim._buckets[30.1], sim._buckets[30.5]
+    near_group, near_msgs = near.args
+    far_group, far_msgs = far.args
+    assert near_group == [RouterId(asn) for asn in (2, 3, 4, 5)]
+    assert far_group == [RouterId(6)]
+    assert [msg.prefix for msg in near_msgs] == [P1, P2]
+    assert far_msgs is near_msgs
+    assert sim.run_until(30.5) == reference.run_until(30.5) == 10
+    # the spokes at both delays hold the hub's one advert
+    assert all(sim.routers[RouterId(asn)].rib[P1][HUB] is near_msgs[0].route
+               for asn in (2, 3, 4, 5, 6))
+    assert sim.run_until(200.0) == reference.run_until(200.0)
+    assert sim.log == reference.log
+    assert sim.events_processed == reference.events_processed
+    assert all(sim.snapshot_table(rid) == reference.snapshot_table(rid)
+               for rid in sim.routers)
 
 
 @st.composite
@@ -915,9 +936,15 @@ def test_reorigination_restores_route():
 # -- process_update -----------------------------------------------------
 
 
+def test_an_update_names_its_sender_prefix_and_route_only():
+    # no receiver and no delivery time, so one message serves every neighbor
+    assert [f.name for f in dataclasses.fields(UpdateMessage)] == [
+        "sender", "prefix", "route"]
+
+
 def test_loop_prevention_drops_and_leaves_table_unchanged():
     sim = line(A, B)
-    msg = UpdateMessage(sender=B, prefix=P1, delivery_time=0.0,
+    msg = UpdateMessage(sender=B, prefix=P1,
                         route=Route(prefix=P1, next_hop=B, as_path=(20, 10)))
     action, delta = sim.process_update(A, msg)
     assert action == "dropped-loop"
@@ -927,8 +954,7 @@ def test_loop_prevention_drops_and_leaves_table_unchanged():
 def test_receiver_stores_the_advert_itself():
     sim = line(A, B)
     advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
-    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
-                                        delivery_time=0.0, route=advert))
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1, route=advert))
     assert sim.routers[A].rib[P1][B] is advert
     # through the plane, both of A's neighbors hold A's one advert
     sim = triangle()
@@ -941,11 +967,9 @@ def test_announce_must_name_its_sender_as_next_hop():
     # one advert object under two senders would make two rows best
     sim = triangle()
     advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
-    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
-                                        delivery_time=0.0, route=advert))
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1, route=advert))
     with pytest.raises(SimulationError):
-        sim.process_update(A, UpdateMessage(sender=C, prefix=P1,
-                                            delivery_time=0.0, route=advert))
+        sim.process_update(A, UpdateMessage(sender=C, prefix=P1, route=advert))
     assert [row["is_best"] for row in sim.snapshot_table(A)] == [True]
 
 
@@ -955,7 +979,7 @@ def test_announce_must_carry_a_route_for_its_own_prefix():
     sim = line(A, B)
     advert = Route(prefix=P2, next_hop=B, as_path=(20, 40))
     with pytest.raises(SimulationError, match="carries a route for 172.16.0.0/20"):
-        sim.process_update(A, UpdateMessage(B, P1, 0.0, advert))
+        sim.process_update(A, UpdateMessage(B, P1, advert))
     assert sim.snapshot_table(A) == []
     assert P1 not in sim.routers[A].rib
 
@@ -964,8 +988,7 @@ def test_receiver_with_override_stores_its_own_copy():
     sim = line(A, B)
     sim.routers[A].local_pref_in[B] = 250
     advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
-    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
-                                        delivery_time=0.0, route=advert))
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1, route=advert))
     stored = sim.routers[A].rib[P1][B]
     assert stored is not advert
     assert stored.local_pref == 250 and advert.local_pref == DEFAULT_LOCAL_PREF
@@ -977,13 +1000,13 @@ def test_filter_drops_matching_update():
     sim = line(A, B)
     sim.install_inbound_filter(A, FilterRule(neighbor=B, deny_origin=99,
                                              deny_prefix=P1))
-    msg = UpdateMessage(sender=B, prefix=P1, delivery_time=0.0,
+    msg = UpdateMessage(sender=B, prefix=P1,
                         route=Route(prefix=P1, next_hop=B, as_path=(20, 99)))
     action, _ = sim.process_update(A, msg)
     assert action == "dropped-filter"
     assert sim.snapshot_table(A) == []
     # a different origin via the same neighbor still installs
-    msg2 = UpdateMessage(sender=B, prefix=P1, delivery_time=0.0,
+    msg2 = UpdateMessage(sender=B, prefix=P1,
                          route=Route(prefix=P1, next_hop=B, as_path=(20, 50)))
     action, _ = sim.process_update(A, msg2)
     assert action == "installed"
@@ -992,12 +1015,10 @@ def test_filter_drops_matching_update():
 def test_shorter_path_replaces_best():
     sim = triangle()
     long_route = Route(prefix=P1, next_hop=C, as_path=(30, 50, 40))
-    sim.process_update(A, UpdateMessage(sender=C, prefix=P1,
-                                        delivery_time=0.0, route=long_route))
+    sim.process_update(A, UpdateMessage(sender=C, prefix=P1, route=long_route))
     assert best_row(sim, A, P1)["as_path"] == (30, 50, 40)
     short_route = Route(prefix=P1, next_hop=B, as_path=(20, 40))
-    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
-                                        delivery_time=0.0, route=short_route))
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1, route=short_route))
     assert best_row(sim, A, P1)["as_path"] == (20, 40)
 
 
@@ -1005,14 +1026,12 @@ def test_invalid_route_is_listed_but_never_selected():
     sim = triangle()
     # shorter than the valid route below, so it would win if it were valid
     invalid = Route(prefix=P1, next_hop=B, as_path=(20, 40), is_valid=False)
-    sim.process_update(A, UpdateMessage(sender=B, prefix=P1,
-                                        delivery_time=0.0, route=invalid))
+    sim.process_update(A, UpdateMessage(sender=B, prefix=P1, route=invalid))
     assert best_row(sim, A, P1) is None
     [row] = json.loads(snapshot_json(sim, A))
     assert row["is_valid"] is False and row["is_best"] is False
     valid = Route(prefix=P1, next_hop=C, as_path=(30, 50, 40))
-    sim.process_update(A, UpdateMessage(sender=C, prefix=P1,
-                                        delivery_time=0.0, route=valid))
+    sim.process_update(A, UpdateMessage(sender=C, prefix=P1, route=valid))
     assert best_row(sim, A, P1)["next_hop"] == C
     rows = {r["next_hop"]: r for r in sim.snapshot_table(A)}
     assert not rows[B]["is_valid"] and not rows[B]["is_best"]
@@ -1254,7 +1273,7 @@ def test_snapshot_rows_follow_every_table_change(overrides, steps):
             route = Route(prefix=prefix, next_hop=sender, as_path=path,
                           metric=len(path), is_valid=valid)
         sim.process_update(RING[receiver],
-                           UpdateMessage(sender, prefix, sim.clock.now, route))
+                           UpdateMessage(sender, prefix, route))
         for rid, router in sim.routers.items():
             rows = sim.snapshot_table(rid)
             assert rows == reference_rows(router)

@@ -1,8 +1,13 @@
 import json
+from inspect import signature
 
 import pytest
 
-from blockjack.cli import main
+from blockjack.bgp import DEFAULT_LINK_DELAY, DEFAULT_MARI, Simulation
+from blockjack.cli import build_parser, main
+from blockjack.dispatcher import DEFAULT_SCAN_INTERVAL, Dispatcher
+from blockjack.harness import ScenarioConfig
+from blockjack.topology import DEFAULT_CONNECTIVITY, gen_topology
 
 
 def run_cli(tmp_path, name, *extra):
@@ -89,3 +94,25 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
 def test_cli_requires_out(tmp_path):
     with pytest.raises(SystemExit):
         main(["run", "--scenario", "single"])
+
+
+def test_cli_defaults_are_the_scenario_defaults():
+    args = build_parser().parse_args(["run", "--scenario", "single", "--out", "x"])
+    cfg = ScenarioConfig(kind="single_path")
+    assert (args.routers, args.connectivity, args.attacks, args.seed, args.duration,
+            args.mari, args.scan_interval, args.attack_at, args.members) == (
+        cfg.routers, cfg.connectivity, cfg.adversarial_prefixes, cfg.seed,
+        cfg.duration, cfg.mari, cfg.scan_interval, cfg.attack_at,
+        cfg.cost_model.member_count)
+    # the scenario, topology, dispatcher and simulation defaults are the
+    # named constants
+    assert (cfg.mari, cfg.link_delay, cfg.scan_interval) == (
+        DEFAULT_MARI, DEFAULT_LINK_DELAY, DEFAULT_SCAN_INTERVAL)
+    assert ScenarioConfig(kind="random", routers=50).resolved_connectivity \
+        == DEFAULT_CONNECTIVITY
+    topology = signature(gen_topology).parameters
+    assert (topology["connectivity"].default, topology["delay"].default) == (
+        DEFAULT_CONNECTIVITY, DEFAULT_LINK_DELAY)
+    assert signature(Dispatcher).parameters["scan_interval"].default \
+        == DEFAULT_SCAN_INTERVAL
+    assert Simulation().clock.mari_interval == DEFAULT_MARI

@@ -301,6 +301,26 @@ def test_verify_refuses_a_time_that_is_not_a_number_before_counting_it(now):
     assert ledger.query_verify("10.0.0.0/24", 10, r10, now=2).completed_at == 3
 
 
+@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf, 2 ** 1024],
+                         ids=["nan", "inf", "-inf", "2**1024"])
+def test_a_non_finite_request_time_is_refused_before_counting_it(now):
+    # a NaN or an infinity has no JSON form in the dump, and 2**1024 has
+    # no float form for the completion time
+    ledger, _, r10, _ = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    before = ledger.to_json(), dict(ledger.stats)
+    requests = {
+        "register": lambda: ledger.submit_authorization("10.1.0.0/24", 10, r10, now=now),
+        "status": lambda: ledger.submit_status_update("10.0.0.0/24", 10, False, r10,
+                                                      now=now),
+        "verify": lambda: ledger.query_verify("10.0.0.0/24", 10, r10, now=now),
+    }
+    for name, request in requests.items():
+        with pytest.raises(ValueError, match="now must be finite"):
+            request()
+        assert (ledger.to_json(), ledger.stats) == before, name
+
+
 # -- consensus threshold -------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import http.client
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -114,6 +115,17 @@ def test_http_profile_requires_admin_first():
         assert body["error"]["class"] == "AuthenticationError"
     finally:
         gateway.stop()
+
+
+def test_stopping_a_server_that_was_never_started_returns_and_closes_it():
+    gateway = GatewayHTTPServer(Profiler(ConsortiumLedger(
+        cost_model=CostModel(0.1, 1.0, 0.5, 2))))
+    stopper = threading.Thread(target=gateway.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+    assert gateway._server.socket.fileno() == -1
+    gateway.stop()   # a second call is harmless
 
 
 def test_http_and_inprocess_bindings_agree(server):
