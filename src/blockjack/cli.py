@@ -15,7 +15,7 @@ from .harness import (
     write_summary,
 )
 from .ledger import CALIBRATED_COST
-from .topology import DEFAULT_CONNECTIVITY, TopologyError
+from .topology import DEFAULT_CONNECTIVITY, DEFAULT_CONNECTIVITY_AT, TopologyError
 
 SCENARIO_NAMES = {"single": "single_path", "multi": "multi_path",
                   "random": "random"}
@@ -32,9 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=sorted(SCENARIO_NAMES),
                      help="single (tree), multi (peered tree), or random")
     run.add_argument("--routers", type=int, default=ScenarioConfig.routers)
+    by_size = "; ".join(f"{value} at {routers} routers"
+                        for routers, value in DEFAULT_CONNECTIVITY_AT.items())
     run.add_argument("--connectivity", type=float, default=None,
                      help="edge probability for random scenarios "
-                          f"(default {DEFAULT_CONNECTIVITY}; 0.5 at 20 routers)")
+                          f"(default {DEFAULT_CONNECTIVITY}; {by_size})")
     run.add_argument("--attacks", type=int,
                      default=ScenarioConfig.adversarial_prefixes,
                      help="number of adversarial prefixes")

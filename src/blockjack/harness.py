@@ -24,7 +24,8 @@ from .bgp import DEFAULT_LINK_DELAY, DEFAULT_MARI, FilterRule, Route, Simulation
 from .dispatcher import DEFAULT_SCAN_INTERVAL, Dispatcher
 from .ledger import CALIBRATED_COST, CommitResult, ConsortiumLedger, CostModel
 from .profiler import ACTION_ADD, GatewayRequest, Profiler
-from .topology import DEFAULT_CONNECTIVITY, KINDS, ScenarioTopology, gen_topology
+from .topology import (DEFAULT_CONNECTIVITY, DEFAULT_CONNECTIVITY_AT, KINDS,
+                       ScenarioTopology, gen_topology)
 from .types import Prefix, RouterId
 
 HOME_PREFIX = Prefix.parse("203.0.113.0/24")
@@ -84,7 +85,7 @@ class ScenarioConfig:
     def resolved_connectivity(self) -> float:
         if self.connectivity is not None:
             return self.connectivity
-        return 0.5 if self.routers == 20 else DEFAULT_CONNECTIVITY
+        return DEFAULT_CONNECTIVITY_AT.get(self.routers, DEFAULT_CONNECTIVITY)
 
     @property
     def resolved_attack_at(self) -> float:

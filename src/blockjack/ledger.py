@@ -546,25 +546,35 @@ class ConsortiumLedger:
         indent=2) + "\n"``, but rendered straight from the blocks and the
         world state, keys in sorted order: CPython's encoder runs in pure
         Python when it indents, and makes a string per token of the dump.
+
+        The text grows in one local string, one block or record at a
+        time.  CPython appends to a string that only a local names in
+        place, so beside the result just one block's text is alive, and a
+        dump peaks at about 1x its size, where a list of the pieces and a
+        join need about 2x.  CPython 3.11 skips the in-place append while
+        a profiler or tracer is set, and each append then copies all the
+        text before it.
         """
-        out = ['{\n  "blocks": [']
+        text = '{\n  "blocks": ['
         sep = "\n    "
         for block in self.blocks:
-            out += sep, _block_text(block, _DUMPED,
-                                    f'{_DUMP_BREAK}"hash": {_json_value(block.hash)},')
+            text += sep
+            text += _block_text(block, _DUMPED,
+                                f'{_DUMP_BREAK}"hash": {_json_value(block.hash)},')
             sep = ",\n    "
-        out += ("\n  ],\n" if self.blocks else "],\n",
-                f'  "hash_algorithm": {_json_value(HASH_ALGORITHM)},\n'
-                f'  "member_count": {_json_value(self.cost_model.member_count)},\n'
-                f'  "version": {_json_value(self.world_state.version)},\n'
-                f'  "world_state": ')
+        text += "\n  ],\n" if self.blocks else "],\n"
+        text += (f'  "hash_algorithm": {_json_value(HASH_ALGORITHM)},\n'
+                 f'  "member_count": {_json_value(self.cost_model.member_count)},\n'
+                 f'  "version": {_json_value(self.world_state.version)},\n'
+                 f'  "world_state": ')
         records, labels = self.world_state.records, _DUMPED.record
         sep = "{\n    "
         for prefix in sorted(records):
-            out += f"{sep}{_json_value(prefix)}: ", _record_text(records[prefix], labels)
+            text += f"{sep}{_json_value(prefix)}: "
+            text += _record_text(records[prefix], labels)
             sep = ",\n    "
-        out.append("\n  }\n}\n" if records else "{}\n}\n")
-        return "".join(out)
+        text += "\n  }\n}\n" if records else "{}\n}\n"
+        return text
 
     @classmethod
     def load(cls, doc: dict,
@@ -572,11 +582,13 @@ class ConsortiumLedger:
         """Rebuild a ledger by replaying a dump's blocks.
 
         Raises LedgerError for a dump of the wrong shape or with a hash
-        algorithm other than sha256, a broken chain, a transaction that
-        the chaincode denies against the state replayed before it, that
-        lacks ``endorsements_required`` distinct member endorsements or
-        whose ``submitter`` is not router text of its ``submitter_asn``,
-        and a member count or world state that disagrees with the blocks.
+        algorithm other than sha256, a ``submitted_at`` that writes refuse
+        (NaN, an infinity, an int beyond the float range), a broken
+        chain, a transaction that the chaincode denies against the state
+        replayed before it, that lacks ``endorsements_required`` distinct
+        member endorsements or whose ``submitter`` is not router text of
+        its ``submitter_asn``, and a member count or world state that
+        disagrees with the blocks.
         """
         algorithm, member_count, version, world_state, raw_blocks = \
             _fields(doc, _DUMP_FIELDS, "the dump")
@@ -686,6 +698,11 @@ def _load_transaction(raw, endorser_sets: dict) -> Transaction:
         _fields(raw, _TX_FIELDS, "a transaction")
     if not all(type(member_id) is str for member_id in endorsements):
         raise LedgerError("malformed dump: an endorsement is not a string")
+    try:  # the times writes take, so a loaded ledger dumps as JSON
+        _check_time(submitted_at)
+    except ValueError:
+        raise LedgerError("malformed dump: a transaction's submitted_at is not "
+                          "finite") from None
     record = LedgerRecord(*_fields(raw_record, _RECORD_FIELDS, "a record"))
     try:
         check_asn(record.asn)

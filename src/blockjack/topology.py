@@ -19,6 +19,8 @@ from .types import RouterId
 
 ASN_BASE = 64512
 DEFAULT_CONNECTIVITY = 0.25
+# Router counts whose random scenario defaults to another edge probability.
+DEFAULT_CONNECTIVITY_AT = {20: 0.5}
 # Connected draws tried per random topology before giving up.
 MAX_ATTEMPTS = 64
 

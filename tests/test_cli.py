@@ -7,7 +7,7 @@ from blockjack.bgp import DEFAULT_LINK_DELAY, DEFAULT_MARI, Simulation
 from blockjack.cli import build_parser, main
 from blockjack.dispatcher import DEFAULT_SCAN_INTERVAL, Dispatcher
 from blockjack.harness import ScenarioConfig
-from blockjack.topology import DEFAULT_CONNECTIVITY, gen_topology
+from blockjack.topology import DEFAULT_CONNECTIVITY, DEFAULT_CONNECTIVITY_AT, gen_topology
 
 
 def run_cli(tmp_path, name, *extra):
@@ -116,3 +116,14 @@ def test_cli_defaults_are_the_scenario_defaults():
     assert signature(Dispatcher).parameters["scan_interval"].default \
         == DEFAULT_SCAN_INTERVAL
     assert Simulation().clock.mari_interval == DEFAULT_MARI
+
+
+def test_connectivity_help_shows_each_default_the_scenario_resolves(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+    assert f"(default {DEFAULT_CONNECTIVITY};" in help_text
+    for routers, value in DEFAULT_CONNECTIVITY_AT.items():
+        assert f"{value} at {routers} routers" in help_text
+        assert ScenarioConfig(kind="random", routers=routers).resolved_connectivity \
+            == value

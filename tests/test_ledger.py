@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -829,6 +831,21 @@ def test_load_refuses_a_record_asn_out_of_range(asn):
         ConsortiumLedger.load(doc, cost_model=UNIT_COST)
 
 
+@pytest.mark.parametrize("submitted_at", [math.nan, math.inf, -math.inf, 2 ** 1024],
+                         ids=["nan", "inf", "-inf", "2**1024"])
+def test_load_refuses_a_submission_time_that_writes_refuse(submitted_at):
+    # with the block hash recomputed, so only the time check can refuse it;
+    # a loaded NaN or infinity would re-dump as text that is not JSON
+    ledger, _, r10, _ = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    doc = resealed_with(ledger, replace(tx("register", "10.9.0.0/24", 99),
+                                        endorsements=ALL_MEMBERS,
+                                        submitted_at=submitted_at))
+    for dumped in (doc, json.loads(ledger.to_json())):
+        with pytest.raises(LedgerError, match=r"submitted_at is not finite \(block 2\)"):
+            ConsortiumLedger.load(dumped, cost_model=UNIT_COST)
+
+
 # -- invariants under any write sequence ------------------------------------------
 
 
@@ -898,13 +915,15 @@ def append_commit(ledger, transaction):
 
 
 # Strings with quotes, escapes and non-ASCII characters, and submission
-# times that JSON renders in every form: ints, NaN, infinities, 1e300.
-# A submitter must be router text of its AS to load, so only its router
-# index varies; the render-only test below gives it any text.
+# times in every form ``load`` takes back: ints, finite floats, -0.0 and
+# 1e300.  A submitter must be router text of its AS to load, so only its
+# router index varies; the render-only tests below give it any text, and
+# their times include NaN and the infinities.
 odd_text = st.one_of(st.sampled_from(['"', "\\", "\u00e9\"\u00fc", "\u2603\n\t", "\U0001f600",
                                       "\x00\x7f", ""]),
                      st.text(max_size=6))
-odd_time = st.one_of(st.integers(-10**20, 10**20), st.floats(),
+odd_time = st.one_of(st.integers(-10**20, 10**20),
+                     st.floats(allow_nan=False, allow_infinity=False),
                      st.sampled_from([1e300, -0.0, 5]))
 odd_transactions = st.lists(st.tuples(
     st.sampled_from(["register", "update_status"]), odd_text, st.sampled_from([10, 99]),
@@ -947,3 +966,24 @@ def test_to_json_renders_blocks_of_several_transactions_as_json_dumps(blocks):
         ledger.blocks.append(Block(len(ledger.blocks), ledger.blocks[-1].hash,
                                    transactions).seal())
     assert ledger.to_json() == reference_json(ledger)
+
+
+def test_to_json_peaks_at_about_one_copy_of_its_text():
+    """The dump grows in one string, so rendering it needs about its own size.
+
+    A list of the pieces joined at the end needs about 2.2x on this ledger.
+    CPython 3.11 appends by copying while a tracer or profiler is set.
+    """
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        pytest.skip("a tracer or profiler turns the in-place append off")
+    ledger, _, r10, _ = make_ledger()
+    for i in range(2000):
+        ledger.submit_authorization(f"10.{i // 256}.{i % 256}.0/24", 10, r10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = ledger.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.25 * len(text)
