@@ -44,6 +44,14 @@ in the key, so two routes through the same next hop that tie on the
 other fields rank equal and the first one seen wins; a table holds one
 route per next hop, so that never happens within one.
 
+Most tables hold one route (on a tree nearly all do), and a one-entry
+dict costs more memory than the route it holds.  So ``Router.rib`` maps a prefix
+with one route to that ``Route`` itself, and only a prefix with two or
+more to a ``{next_hop: route}`` dict; no prefix holds an empty or
+one-entry dict.  ``Router._install`` and ``Router._remove`` are the
+writes that keep that shape, and ``Router.table`` reads either shape as
+a new dict.
+
 A route never changes once built, so one object can sit in many tables;
 which route is best is recorded only in ``Router.best``.  A caller that
 edits a ``Route`` after constructing it bypasses the checks and leaves
@@ -243,8 +251,9 @@ class Router:
         self.rid = rid
         self.asn = rid.asn
         self.neighbors: dict[RouterId, float] = {}
-        # learned + locally originated routes, keyed prefix -> next_hop
-        self.rib: dict[Prefix, dict[RouterId, Route]] = {}
+        # learned + locally originated routes: a prefix's one route itself,
+        # or {next_hop: route} for a prefix with two or more
+        self.rib: dict[Prefix, Route | dict[RouterId, Route]] = {}
         self.best: dict[Prefix, Route] = {}
         self.filters: dict[tuple[RouterId, int], FilterRule] = {}
         self.originated: set[Prefix] = set()
@@ -254,6 +263,46 @@ class Router:
         self._scheduled_boundary: Optional[float] = None
         # snapshot rows of rib and best; None after any change to either
         self._rows: Optional[list[dict]] = None
+
+    def table(self, prefix: Prefix) -> dict[RouterId, Route]:
+        """A new ``{next_hop: route}`` dict of the prefix's routes, empty
+        for a prefix with none."""
+        held = self.rib.get(prefix)
+        if held is None:
+            return {}
+        if type(held) is dict:
+            return dict(held)
+        return {held.next_hop: held}
+
+    def _install(self, route: Route) -> None:
+        """Store route in its prefix's table, replacing its next hop's route."""
+        rib, prefix, hop = self.rib, route.prefix, route.next_hop
+        held = rib.get(prefix)
+        if type(held) is dict:
+            held[hop] = route
+        elif held is None or held.next_hop == hop:
+            rib[prefix] = route
+        else:
+            rib[prefix] = {held.next_hop: held, hop: route}
+
+    def _remove(self, prefix: Prefix, hop: RouterId) -> bool:
+        """Delete hop's route from the prefix's table; False if it holds none.
+
+        A table left with one route holds it bare, and an emptied one
+        leaves ``rib``.
+        """
+        rib = self.rib
+        held = rib.get(prefix)
+        if type(held) is dict:
+            if held.pop(hop, None) is None:
+                return False
+            if len(held) == 1:
+                rib[prefix] = next(iter(held.values()))
+            return True
+        if held is None or held.next_hop != hop:
+            return False
+        del rib[prefix]
+        return True
 
     def is_local(self, route: Route) -> bool:
         return route.next_hop == self.rid
@@ -404,11 +453,13 @@ class Simulation:
         if rule.neighbor not in router.neighbors:
             raise SimulationError(f"{rule.neighbor} is not adjacent to {rid}")
         router.filters[(rule.neighbor, rule.deny_origin)] = rule
+        neighbor = rule.neighbor
         for prefix in sorted(router.rib):
-            table = router.rib[prefix]
-            route = table.get(rule.neighbor)
+            held = router.rib[prefix]
+            route = (held.get(neighbor) if type(held) is dict
+                     else held if held.next_hop == neighbor else None)
             if route is not None and route.origin == rule.deny_origin:
-                del table[rule.neighbor]
+                router._remove(prefix, neighbor)
                 self._after_table_change(router, prefix)
         return rule
 
@@ -426,9 +477,7 @@ class Simulation:
         router = self.routers.get(rid) or self._router(rid)
         sender, prefix, route = msg.sender, msg.prefix, msg.route
         if route is None:
-            table = router.rib.get(prefix)
-            if table is not None and sender in table:
-                del table[sender]
+            if router._remove(prefix, sender):
                 return ("withdrawn", self._after_table_change(router, prefix))
             return ("no-op", None)
         if route.next_hop != sender:
@@ -447,9 +496,10 @@ class Simulation:
             if local_pref != route.local_pref:
                 route = replace(route, local_pref=local_pref)
         table = router.rib.get(prefix)
-        if table is None:
-            table = router.rib[prefix] = {}
-        table[sender] = route
+        if type(table) is dict:   # inline: the common case on a meshed network
+            table[sender] = route
+        else:
+            router._install(route)
         return ("installed", self._after_table_change(router, prefix))
 
     def snapshot_table(self, rid: RouterId) -> list[dict]:
@@ -465,9 +515,10 @@ class Simulation:
         rows = router._rows
         if rows is None:
             rows = router._rows = []
-            for prefix, table in sorted(router.rib.items()):
+            for prefix, held in sorted(router.rib.items()):
                 best = router.best.get(prefix)
-                for _, route in sorted(table.items()):
+                for route in ([held[hop] for hop in sorted(held)] if type(held) is dict
+                              else (held,)):
                     rows.append({
                         "prefix": route.prefix,
                         "next_hop": route.next_hop,
@@ -483,34 +534,33 @@ class Simulation:
     # -- internals ---------------------------------------------------------
 
     def _apply_originate(self, router: Router, prefix: Prefix):
-        local = Route(prefix=prefix, next_hop=router.rid, as_path=(router.asn,))
-        router.rib.setdefault(prefix, {})[router.rid] = local
+        router._install(Route(prefix=prefix, next_hop=router.rid, as_path=(router.asn,)))
         self._after_table_change(router, prefix)
 
     def _apply_withdraw(self, router: Router, prefix: Prefix):
-        table = router.rib.get(prefix, {})
-        if router.rid in table:
-            del table[router.rid]
+        router._remove(prefix, router.rid)
         self._after_table_change(router, prefix)
 
     def _after_table_change(self, router: Router, prefix: Prefix):
         """Re-run selection over the router's table for one prefix.
 
-        The table's ``values()`` view goes to :func:`select_best` as it
-        is, and that skips invalid routes itself, so a selection copies
-        no route list.  Every change to a router's ``rib`` or ``best``
+        A table dict's ``values()`` view, a bare route as a 1-tuple, or
+        ``()`` for a prefix left with no route goes to :func:`select_best`,
+        which skips invalid routes itself, so a selection copies no route
+        list and ranks every route the prefix holds.  Every change to a router's ``rib`` or ``best``
         ends here, so this is where its cached snapshot rows are dropped.
         On a change of best, queues the re-advertisement, tells the
         ``on_best_change`` listeners and returns (old, new); else None.
         """
         router._rows = None
         old = router.best.get(prefix)
-        table = router.rib.get(prefix) or {}
-        new = select_best(table.values())
+        held = router.rib.get(prefix)
+        if type(held) is dict:
+            new = select_best(held.values())
+        else:
+            new = select_best(() if held is None else (held,))
         if new is None:
             router.best.pop(prefix, None)
-            if not table:
-                router.rib.pop(prefix, None)
         elif new is old:
             return None
         else:

@@ -257,7 +257,7 @@ def build_simulation(topo: ScenarioTopology, mari: float) -> Simulation:
 def victim_prefix(k: int) -> Prefix:
     if not 0 <= k <= 255:
         raise ScenarioError("attack index outside the benchmark prefix block")
-    return Prefix.parse(f"198.18.{k}.0/24")
+    return Prefix(198 << 24 | 18 << 16 | k << 8, 24)   # 198.18.k.0/24
 
 
 def inject_attack(sim: Simulation, ledger: ConsortiumLedger, monitor: AttackMonitor,

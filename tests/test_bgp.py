@@ -262,7 +262,7 @@ def test_best_is_the_brute_force_pick_of_the_valid_routes_after_every_update(
                           weight=weight, is_valid=valid)
         sim.process_update(HUB, UpdateMessage(sender, prefix, route))
         for held in (P1, P2):
-            table = hub.rib.get(held, {})
+            table = hub.table(held)
             expected = brute_force_best([r for r in table.values() if r.is_valid])
             assert hub.best.get(held) is expected
             assert (held in hub.best) == (expected is not None)
@@ -361,7 +361,7 @@ def test_plane_copies_rank_by_their_own_fields():
     # key of its own fields, so each advert was ranked by its own fields too
     sim = detour(override=200)
     stored = [route for router in sim.routers.values()
-              for table in router.rib.values() for route in table.values()]
+              for prefix in router.rib for route in router.table(prefix).values()]
     assert any(route.local_pref == 200 for route in stored)
     assert_ranked_by_own_fields(stored)
 
@@ -757,7 +757,7 @@ def test_a_flush_at_two_delays_delivers_one_message_list_at_each():
     assert far_msgs is near_msgs
     assert sim.run_until(30.5) == reference.run_until(30.5) == 10
     # the spokes at both delays hold the hub's one advert
-    assert all(sim.routers[RouterId(asn)].rib[P1][HUB] is near_msgs[0].route
+    assert all(sim.routers[RouterId(asn)].table(P1)[HUB] is near_msgs[0].route
                for asn in (2, 3, 4, 5, 6))
     assert sim.run_until(200.0) == reference.run_until(200.0)
     assert sim.log == reference.log
@@ -955,12 +955,12 @@ def test_receiver_stores_the_advert_itself():
     sim = line(A, B)
     advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
     sim.process_update(A, UpdateMessage(sender=B, prefix=P1, route=advert))
-    assert sim.routers[A].rib[P1][B] is advert
+    assert sim.routers[A].table(P1)[B] is advert
     # through the plane, both of A's neighbors hold A's one advert
     sim = triangle()
     sim.originate_prefix(A, P1, 0.0)
     sim.run_until(30.1)
-    assert sim.routers[B].rib[P1][A] is sim.routers[C].rib[P1][A]
+    assert sim.routers[B].table(P1)[A] is sim.routers[C].table(P1)[A]
 
 
 def test_announce_must_name_its_sender_as_next_hop():
@@ -989,7 +989,7 @@ def test_receiver_with_override_stores_its_own_copy():
     sim.routers[A].local_pref_in[B] = 250
     advert = Route(prefix=P1, next_hop=B, as_path=(20, 40))
     sim.process_update(A, UpdateMessage(sender=B, prefix=P1, route=advert))
-    stored = sim.routers[A].rib[P1][B]
+    stored = sim.routers[A].table(P1)[B]
     assert stored is not advert
     assert stored.local_pref == 250 and advert.local_pref == DEFAULT_LOCAL_PREF
     assert_ranked_by_own_fields([stored, advert])
@@ -1158,23 +1158,24 @@ def ring_sim(overrides):
     return sim
 
 
-def apply_ring_step(sim, kind, *args):
-    """One step of ``ring_step``; an originate or withdraw that would be
-    refused is skipped."""
+def apply_step(sim, rids, kind, *args):
+    """One step of ``ring_step`` over the routers ``rids``, picked by index
+    modulo their number; an originate or withdraw that would be refused is
+    skipped."""
     if kind == "run":
         sim.run_until(sim.clock.now + args[0])
     elif kind == "filter":
         # deny a route the router holds, if any, so most filters purge one
-        rid = RING[args[0]]
+        rid = rids[args[0] % len(rids)]
         router = sim.routers[rid]
-        pairs = sorted({(sender, route.origin) for table in router.rib.values()
-                        for sender, route in table.items() if sender != rid}
-                       ) or [(n, r.asn) for n in sorted(router.neighbors) for r in RING]
+        pairs = sorted({(sender, route.origin) for prefix in router.rib
+                        for sender, route in router.table(prefix).items() if sender != rid}
+                       ) or [(n, r.asn) for n in sorted(router.neighbors) for r in rids]
         neighbor, origin = pairs[args[1] % len(pairs)]
         sim.install_inbound_filter(rid, FilterRule(neighbor=neighbor, deny_origin=origin,
                                                    deny_prefix=P1))
     else:
-        rid, prefix = RING[args[0]], args[1]
+        rid, prefix = rids[args[0] % len(rids)], args[1]
         originated = prefix in sim.routers[rid].originated
         if kind == "originate" and not originated:
             sim.originate_prefix(rid, prefix)
@@ -1191,7 +1192,7 @@ def check_best_is_recorded_once(sim, seen):
     for rid, router in sim.routers.items():
         rows = sim.snapshot_table(rid)
         for prefix in set(router.rib) | set(router.best):
-            table = router.rib.get(prefix, {})
+            table = router.table(prefix)
             best = router.best.get(prefix)
             assert best is brute_force_best([r for r in table.values() if r.is_valid])
             best_rows = [(row["next_hop"], row["as_path"], row["local_pref"])
@@ -1211,7 +1212,7 @@ def test_router_best_is_the_only_record_of_best(overrides, steps):
     sim = ring_sim(overrides)
     seen = {}
     for step in steps:
-        apply_ring_step(sim, *step)
+        apply_step(sim, RING, *step)
         check_best_is_recorded_once(sim, seen)
 
 
@@ -1235,7 +1236,7 @@ def reference_rows(router):
              "as_path": route.as_path, "is_valid": route.is_valid,
              "is_best": route is router.best.get(prefix)}
             for prefix in sorted(router.rib)
-            for _, route in sorted(router.rib[prefix].items())]
+            for _, route in sorted(router.table(prefix).items())]
 
 
 # a neighbor's withdraw or announce delivered now, beside the ring steps:
@@ -1261,7 +1262,7 @@ def test_snapshot_rows_follow_every_table_change(overrides, steps):
     sim = ring_sim(overrides)
     for kind, *args in steps:
         if kind not in ("announce", "retract"):
-            apply_ring_step(sim, kind, *args)
+            apply_step(sim, RING, kind, *args)
             continue
         receiver, pick, prefix, *announce = args
         neighbors = sorted(sim.routers[RING[receiver]].neighbors)
@@ -1280,6 +1281,85 @@ def test_snapshot_rows_follow_every_table_change(overrides, steps):
             if rows:   # the caller owns what it gets
                 rows[0]["is_best"] = None
                 rows.pop()
+
+
+def test_table_is_a_new_dict_of_either_shape():
+    sim = triangle()
+    router = sim.routers[A]
+    assert router.table(P1) == {}
+    sim.originate_prefix(A, P1, 0.0)
+    sim.run_until(0.0)
+    local = router.rib[P1]
+    assert router.table(P1) == {A: local}
+    sim.run_until(100.0)   # B's and C's adverts of P1 carry AS 10, so A drops them
+    table = router.table(P1)
+    assert list(table) == [A] and type(router.rib[P1]) is Route
+    sim.originate_prefix(B, P2)
+    sim.run_until(200.0)   # A hears P2 from B directly and through C
+    table = router.table(P2)
+    assert sorted(table) == [B, C] and table == router.rib[P2]
+    table.clear()
+    assert len(router.rib[P2]) == 2 and router.table(P2) != {}
+
+
+def check_table_shape(sim):
+    """Each rib value is a bare route or a dict of at least two, each route
+    under its own next hop; best is the brute-force pick over the table, and
+    the snapshot rows are the rows built from it."""
+    for rid, router in sim.routers.items():
+        for prefix, held in router.rib.items():
+            if type(held) is dict:
+                assert len(held) >= 2
+                assert all(hop == route.next_hop for hop, route in held.items())
+            else:
+                assert type(held) is Route
+        for prefix in set(router.rib) | set(router.best):
+            table = router.table(prefix)
+            assert all(route.prefix == prefix for route in table.values())
+            assert router.best.get(prefix) is brute_force_best(
+                [route for route in table.values() if route.is_valid])
+        assert sim.snapshot_table(rid) == reference_rows(router)
+
+
+@st.composite
+def shaped_networks(draw):
+    """2 to 6 routers, some sharing an ASN, linked into one connected
+    network with delays from {0, 0.1, 0.5}, and import local_pref
+    overrides on some sessions; returns the simulation and its router ids."""
+    asns = draw(st.lists(st.sampled_from([10, 20, 30, 40]), min_size=2, max_size=6))
+    rids = [RouterId(asn, index) for index, asn in enumerate(asns)]
+    delay = st.sampled_from([0.0, 0.1, 0.5])
+    # each router past the first links to an earlier one, and a few more pairs
+    links = {(draw(st.integers(0, i - 1)), i): draw(delay) for i in range(1, len(rids))}
+    pair = st.lists(st.integers(0, len(rids) - 1), min_size=2, max_size=2, unique=True)
+    for a, b in draw(st.lists(pair, max_size=4)):
+        links.setdefault((min(a, b), max(a, b)), draw(delay))
+    sim = Simulation(mari=1.0)
+    for rid in rids:
+        sim.add_router(rid)
+    for (a, b), link_delay in links.items():
+        sim.add_link(rids[a], rids[b], link_delay)
+    sessions = sorted(links) + sorted((b, a) for a, b in links)
+    for a, b in draw(st.lists(st.sampled_from(sessions), max_size=4)):
+        sim.routers[rids[a]].local_pref_in[rids[b]] = draw(st.sampled_from([50, 150, 300]))
+    return sim, rids
+
+
+shape_steps = st.lists(st.one_of(
+    st.tuples(st.just("originate"), st.integers(0, 5), st.sampled_from([P1, P2, P3])),
+    st.tuples(st.just("withdraw"), st.integers(0, 5), st.sampled_from([P1, P2, P3])),
+    st.tuples(st.just("filter"), st.integers(0, 5), st.integers(0, 24)),
+    st.tuples(st.just("run"), st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0])),
+), min_size=4, max_size=40)
+
+
+@settings(derandomize=True, deadline=None)
+@given(network=shaped_networks(), steps=shape_steps)
+def test_tables_keep_their_shape_through_every_change(network, steps):
+    sim, rids = network
+    for step in steps:
+        apply_step(sim, rids, *step)
+        check_table_shape(sim)
 
 
 def test_editing_a_snapshot_leaves_the_next_one_as_it_was():
@@ -1785,8 +1865,9 @@ def test_network_converges_to_the_solved_routes_and_a_filter_removes_only_its_or
     for other in rids:
         rows = sim.snapshot_table(other)
         assert [row for row in rows if row["as_path"][-1] != denied] == kept[other]
-    assert not [route for table in sim.routers[rid].rib.values()
-                for hop, route in table.items() if hop == neighbor and route.origin == denied]
+    router = sim.routers[rid]
+    assert not [route for prefix in router.rib for hop, route in router.table(prefix).items()
+                if hop == neighbor and route.origin == denied]
 
 
 # An announce dropped for a loop leaves the sender's earlier route in the

@@ -340,5 +340,11 @@ def test_reports_are_json_lines():
 def test_victim_prefix_pool_bounds():
     assert str(victim_prefix(0)) == "198.18.0.0/24"
     assert str(victim_prefix(255)) == "198.18.255.0/24"
-    with pytest.raises(ScenarioError):
-        victim_prefix(256)
+    for k in (-1, 256):
+        with pytest.raises(ScenarioError):
+            victim_prefix(k)
+
+
+def test_victim_prefix_is_the_parsed_text_for_every_index():
+    for k in range(256):
+        assert victim_prefix(k) == Prefix.parse(f"198.18.{k}.0/24")
