@@ -261,7 +261,8 @@ class Router:
         # per-neighbor local_pref override applied on import
         self.local_pref_in: dict[RouterId, int] = {}
         self._scheduled_boundary: Optional[float] = None
-        # snapshot rows of rib and best; None after any change to either
+        # snapshot rows of rib and best, shared read-only with every
+        # snapshot_table caller; a change to either drops the list, never edits it
         self._rows: Optional[list[dict]] = None
 
     def table(self, prefix: Prefix) -> dict[RouterId, Route]:
@@ -304,12 +305,9 @@ class Router:
         del rib[prefix]
         return True
 
-    def is_local(self, route: Route) -> bool:
-        return route.next_hop == self.rid
-
     def advertised_path(self, route: Route) -> tuple[int, ...]:
         """AS path carried in an announce of this route to a peer."""
-        if self.is_local(route):
+        if route.next_hop == self.rid:
             return route.as_path
         return (self.asn,) + route.as_path
 
@@ -503,11 +501,13 @@ class Simulation:
         return ("installed", self._after_table_change(router, prefix))
 
     def snapshot_table(self, rid: RouterId) -> list[dict]:
-        """Stable-ordered, read-only copy of a router's table rows.
+        """A router's table rows in stable order, shared and read-only.
 
-        The rows are built once per table change and kept on the router;
-        each call returns a new list of new dicts, so a caller may edit
-        what it gets.  A caller that edits ``Router.rib`` or
+        The rows are built once per table change and kept on the router.
+        Every call until the next change returns that same list; the next
+        change replaces the list and never edits it, so a list a caller
+        holds keeps the table as it was.  Callers must not edit the list
+        or its rows.  A caller that edits ``Router.rib`` or
         ``Router.best`` directly, instead of through the simulation's
         operations, bypasses the cache and reads stale rows.
         """
@@ -529,7 +529,7 @@ class Simulation:
                         "is_valid": route.is_valid,
                         "is_best": route is best,
                     })
-        return list(map(dict.copy, rows))
+        return rows
 
     # -- internals ---------------------------------------------------------
 
@@ -787,11 +787,8 @@ def apply_event_script(sim: Simulation, events: list):
         schedule()
 
 
-def snapshot_jsonable(rows: list[dict]) -> list[dict]:
-    """Snapshot rows with identifier types rendered as strings/lists."""
-    return [dict(row, prefix=str(row["prefix"]), next_hop=str(row["next_hop"]),
-                 as_path=list(row["as_path"])) for row in rows]
-
-
 def snapshot_json(sim: Simulation, rid: RouterId) -> str:
-    return json.dumps(snapshot_jsonable(sim.snapshot_table(rid)), sort_keys=True)
+    """A router's snapshot rows as JSON, identifiers as strings and lists."""
+    return json.dumps([dict(row, prefix=str(row["prefix"]), next_hop=str(row["next_hop"]),
+                            as_path=list(row["as_path"]))
+                       for row in sim.snapshot_table(rid)], sort_keys=True)

@@ -79,7 +79,7 @@ def cmd_run(args) -> int:
     )
     metrics = run_scenario(cfg)
 
-    write_metrics(metrics, args.out)
+    write_metrics([metrics], args.out)
     if args.summary:
         write_summary([metrics], args.summary)
     if args.dump_ledger:

@@ -93,7 +93,6 @@ class Dispatcher:
         self.sim = sim
         self.gateway = gateway
         self.home = home
-        self.own_asn = home.asn
         self.scan_interval = scan_interval
         # triples seen at the last scan: own-AS (ROA) and neighbor-announced (ROV)
         self.roa_cache: set[OriginEntry] = set()
@@ -120,7 +119,7 @@ class Dispatcher:
         snapshot = self.sim.snapshot_table(self.home)
         if snapshot != self._snapshot:
             self._snapshot = snapshot
-            self._scanned = scan(snapshot, self.own_asn)
+            self._scanned = scan(snapshot, self.home.asn)
         roa_var, rov_var = self._scanned
         self.sender_sync(roa_var, t, report)
         self.verifier_sync(rov_var, t, report)
@@ -211,7 +210,7 @@ class Dispatcher:
 
     def _own_request(self, action: str, prefix: Prefix,
                      active: Optional[bool]) -> GatewayRequest:
-        return GatewayRequest(action=action, prefix=prefix, asn=self.own_asn,
+        return GatewayRequest(action=action, prefix=prefix, asn=self.home.asn,
                               claimed_router=self.home, active=active)
 
     def _emit_filter(self, rule: FilterRule, when: float, report: DispatcherReport):

@@ -51,12 +51,11 @@ class ScenarioConfig:
     link_delay: float = DEFAULT_LINK_DELAY
     cost_model: CostModel = field(default_factory=lambda: CALIBRATED_COST)
     attack_at: Optional[float] = None      # default: mid-run
-    trial: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ScenarioError(f"unknown scenario kind: {self.kind}")
-        for name in ("routers", "adversarial_prefixes", "seed", "trial"):
+        for name in ("routers", "adversarial_prefixes", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ScenarioError(f"{name} must be an integer, got {value!r}")
@@ -351,7 +350,7 @@ def metrics_rows(metrics: ScenarioMetrics) -> list[list[str]]:
     for record in metrics.records:
         rows.append([
             cfg.kind, str(cfg.routers), str(cfg.seed),
-            str(cfg.trial), str(record.prefix), str(record.adversary),
+            "0", str(record.prefix), str(record.adversary),   # trial: always 0
             _fmt(record.prepend_time), _fmt(record.neutralize_time),
             str(record.paths_filtered),
             "true" if record.no_impact else "false",
@@ -368,9 +367,8 @@ def metrics_csv(metrics_list: list[ScenarioMetrics]) -> str:
     return buffer.getvalue()
 
 
-def write_metrics(metrics, path) -> None:
-    """CSV with one row per attack; accepts one run or a list of runs."""
-    metrics_list = metrics if isinstance(metrics, list) else [metrics]
+def write_metrics(metrics_list: list[ScenarioMetrics], path) -> None:
+    """CSV with one row per attack of each run."""
     with open(path, "w", newline="") as handle:
         handle.write(metrics_csv(metrics_list))
 
@@ -409,6 +407,5 @@ def write_json(doc, path) -> None:
         handle.write("\n")
 
 
-def write_summary(metrics_list, path) -> None:
-    metrics_list = metrics_list if isinstance(metrics_list, list) else [metrics_list]
+def write_summary(metrics_list: list[ScenarioMetrics], path) -> None:
     write_json(summarize(metrics_list), path)

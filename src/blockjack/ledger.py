@@ -77,12 +77,12 @@ class LedgerRecord:
 
 @dataclass(frozen=True, slots=True)
 class Credential:
-    """Opaque bearer token bound to a subject (and its ASN, for routers)."""
+    """Opaque bearer token bound to a subject (and its ASN, for routers),
+    issued by ``CA_NAME``, which goes into its secret."""
 
     subject: str
     asn: Optional[int]
     secret: str
-    issued_by: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -422,8 +422,7 @@ class ConsortiumLedger:
         serial = len(self._issued) + 1
         secret = hashlib.sha256(
             f"{CA_NAME}|{subject}|{serial}".encode()).hexdigest()
-        cred = Credential(subject=subject, asn=asn, secret=secret,
-                          issued_by=CA_NAME)
+        cred = Credential(subject=subject, asn=asn, secret=secret)
         self._issued[subject] = cred
         return cred
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import heapq
 import json
@@ -1257,30 +1258,34 @@ snapshot_steps = st.lists(st.one_of(
        steps=snapshot_steps)
 def test_snapshot_rows_follow_every_table_change(overrides, steps):
     """After any originate, withdraw, announce or filter, every router's
-    snapshot equals its rows rebuilt from rib and best, though the last
-    snapshot's rows were kept and the caller edited what it got."""
+    snapshot equals its rows rebuilt from rib and best.  Two calls with no
+    change between them return the same list, and a list handed out
+    before a change still equals a deep copy taken when it was handed out."""
     sim = ring_sim(overrides)
+    handed_out = {}   # rid -> (list, deep copy of it)
     for kind, *args in steps:
-        if kind not in ("announce", "retract"):
+        if kind in ("announce", "retract"):
+            receiver, pick, prefix, *announce = args
+            neighbors = sorted(sim.routers[RING[receiver]].neighbors)
+            sender = neighbors[pick % len(neighbors)]
+            route = None
+            if announce:
+                origin, valid = announce
+                path = tuple(dict.fromkeys((sender.asn, RING[origin].asn)))
+                route = Route(prefix=prefix, next_hop=sender, as_path=path,
+                              metric=len(path), is_valid=valid)
+            sim.process_update(RING[receiver],
+                               UpdateMessage(sender, prefix, route))
+        else:
             apply_step(sim, RING, kind, *args)
-            continue
-        receiver, pick, prefix, *announce = args
-        neighbors = sorted(sim.routers[RING[receiver]].neighbors)
-        sender = neighbors[pick % len(neighbors)]
-        route = None
-        if announce:
-            origin, valid = announce
-            path = tuple(dict.fromkeys((sender.asn, RING[origin].asn)))
-            route = Route(prefix=prefix, next_hop=sender, as_path=path,
-                          metric=len(path), is_valid=valid)
-        sim.process_update(RING[receiver],
-                           UpdateMessage(sender, prefix, route))
         for rid, router in sim.routers.items():
+            if rid in handed_out:
+                rows, then = handed_out[rid]
+                assert rows == then
             rows = sim.snapshot_table(rid)
             assert rows == reference_rows(router)
-            if rows:   # the caller owns what it gets
-                rows[0]["is_best"] = None
-                rows.pop()
+            assert sim.snapshot_table(rid) is rows
+            handed_out[rid] = (rows, copy.deepcopy(rows))
 
 
 def test_table_is_a_new_dict_of_either_shape():
@@ -1362,18 +1367,19 @@ def test_tables_keep_their_shape_through_every_change(network, steps):
         check_table_shape(sim)
 
 
-def test_editing_a_snapshot_leaves_the_next_one_as_it_was():
+def test_a_snapshot_is_shared_until_the_next_table_change():
     sim = triangle()
     sim.originate_prefix(A, P1, 0.0)
     sim.originate_prefix(B, P2, 0.0)
     sim.run_until(123.0)
     rows = sim.snapshot_table(C)
-    expected = [dict(row) for row in rows]
-    rows[0]["is_best"] = not rows[0]["is_best"]
-    rows[0]["as_path"] = ()
-    del rows[1]["metric"]
-    rows.append({})
-    assert sim.snapshot_table(C) == expected == reference_rows(sim.routers[C])
+    then = copy.deepcopy(rows)
+    assert sim.snapshot_table(C) is rows
+    sim.withdraw_prefix(B, P2, 124.0)
+    sim.run_until(200.0)
+    after = sim.snapshot_table(C)
+    assert after is not rows and after == reference_rows(sim.routers[C])
+    assert after != then and rows == then
 
 
 def test_fixed_script_is_byte_identical_across_runs():

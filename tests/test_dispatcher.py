@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from blockjack import dispatcher as dispatcher_module
-from blockjack.bgp import Simulation
+from blockjack.bgp import Simulation, UpdateMessage
 from blockjack.dispatcher import (
     ACCEPT,
     Dispatcher,
@@ -289,7 +290,16 @@ def test_tick_scans_only_a_changed_snapshot(monkeypatch):
         sim.run_until(t)
         agent.tick(t)
     assert scanned == [0, 1]
-    assert [report.verifies for report in agent.reports] == [0, 0, 0, 1, 0, 0]
+    # a copy of the announce ROOT holds is a table change that rebuilds
+    # equal rows in a new list: compared by value, it is not scanned again
+    held = sim.snapshot_table(ROOT)
+    route = sim.routers[ROOT].rib[P]
+    sim.process_update(ROOT, UpdateMessage(route.next_hop, P, dataclasses.replace(route)))
+    assert sim.snapshot_table(ROOT) is not held
+    assert sim.snapshot_table(ROOT) == held
+    agent.tick(64.0)
+    assert scanned == [0, 1]
+    assert [report.verifies for report in agent.reports] == [0, 0, 0, 1, 0, 0, 0]
 
 
 # -- full tick loop --------------------------------------------------------------

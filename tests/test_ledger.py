@@ -65,8 +65,7 @@ def test_register_router_requires_admin():
     ledger, admin, r10, _ = make_ledger()
     with pytest.raises(CredentialError):
         ledger.register_router(RouterId(33), r10)  # router cred is not admin
-    forged = Credential(subject="admin", asn=None, secret="deadbeef",
-                        issued_by="blockjack-ca")
+    forged = Credential(subject="admin", asn=None, secret="deadbeef")
     with pytest.raises(CredentialError):
         ledger.register_router(RouterId(33), forged)
     with pytest.raises(CredentialError):
@@ -204,7 +203,7 @@ def test_verification_cost_independent_of_members():
 
 def test_invalid_credential_raises():
     ledger, _, r10, _ = make_ledger()
-    bogus = Credential(subject="10.0", asn=10, secret="nope", issued_by="blockjack-ca")
+    bogus = Credential(subject="10.0", asn=10, secret="nope")
     with pytest.raises(CredentialError):
         ledger.submit_authorization("10.0.0.0/24", 10, bogus)
     with pytest.raises(CredentialError):
@@ -514,7 +513,7 @@ def test_dump_roundtrip_lossless_and_byte_stable():
 
 # -- record layout ---------------------------------------------------------------
 
-SLOTTED = [LedgerRecord("10.0.0.0/24", 10), Credential("admin", None, "s", "ca"),
+SLOTTED = [LedgerRecord("10.0.0.0/24", 10), Credential("admin", None, "s"),
            tx("register", "10.0.0.0/24", 10), Block(0, GENESIS_PREV_HASH, []),
            CommitResult(1, 0.0), Denial(REASON_CONFLICT, 0.0),
            VerifyResult(VerificationSignal.VALID, 0.0),
@@ -763,6 +762,29 @@ def test_load_accepts_an_appended_commit_that_meets_both_checks():
     doc = resealed_with(ledger, free)
     loaded = ConsortiumLedger.load(doc, cost_model=UNIT_COST)
     assert loaded.world_state.get("10.9.0.0/24").asn == 99
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the ledger takes prefix text that is not canonical")
+@pytest.mark.parametrize("text", ["10.0.0.1/24", "banana"])
+def test_the_ledger_refuses_prefix_text_that_is_not_canonical(text):
+    """The gateway asks in canonical text, so a record kept under
+    10.0.0.1/24 never answers for 10.0.0.0/24: the dispatcher hears
+    unknown and accepts the hijack."""
+    ledger, _, r10, _ = make_ledger()
+    try:
+        result = ledger.submit_authorization(text, 10, r10)
+    except (LedgerError, ValueError):
+        result = None
+    assert not isinstance(result, CommitResult)
+    ledger, *_ = make_ledger()
+    doc = resealed_with(ledger, replace(tx("register", text, 10), endorsements=ALL_MEMBERS))
+    try:
+        ConsortiumLedger.load(doc, cost_model=UNIT_COST)
+        refused = False
+    except LedgerError:
+        refused = True
+    assert refused
 
 
 @pytest.mark.parametrize("submitter", ["99", "99.0", "99.5", "099.0"])
