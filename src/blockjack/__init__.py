@@ -14,10 +14,9 @@ from .harness import (
     ScenarioConfig,
     ScenarioMetrics,
     inject_attack,
+    run_file,
     run_scenario,
     summarize,
-    write_metrics,
-    write_summary,
 )
 from .ledger import (
     CALIBRATED_COST,
@@ -59,11 +58,10 @@ __all__ = [
     "estimate_authorization_cost",
     "gen_topology",
     "inject_attack",
+    "run_file",
     "run_scenario",
     "scan",
     "select_best",
     "summarize",
-    "write_metrics",
-    "write_summary",
     "__version__",
 ]

@@ -5,20 +5,20 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
-from .harness import (
-    ScenarioConfig,
-    ScenarioError,
-    run_scenario,
-    write_json,
-    write_metrics,
-    write_summary,
-)
+from .harness import ScenarioConfig, ScenarioError, run_file, run_scenario
 from .ledger import CALIBRATED_COST
 from .topology import DEFAULT_CONNECTIVITY, DEFAULT_CONNECTIVITY_AT, TopologyError
 
 SCENARIO_NAMES = {"single": "single_path", "multi": "multi_path",
                   "random": "random"}
+
+# The run file each output option writes, by the option's name in the
+# parsed arguments; harness.run_file renders each.
+OUTPUT_FILES = {"out": "metrics.csv", "summary": "summary.json",
+                "dump_ledger": "ledger.json", "topology_out": "topology.json",
+                "reports_out": "reports.jsonl"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,17 +79,10 @@ def cmd_run(args) -> int:
     )
     metrics = run_scenario(cfg)
 
-    write_metrics([metrics], args.out)
-    if args.summary:
-        write_summary([metrics], args.summary)
-    if args.dump_ledger:
-        with open(args.dump_ledger, "w") as handle:
-            handle.write(metrics.ledger.to_json())
-    if args.topology_out:
-        write_json(metrics.topology_doc, args.topology_out)
-    if args.reports_out:
-        with open(args.reports_out, "w") as handle:
-            handle.write("\n".join(metrics.reports) + "\n")
+    for dest, name in OUTPUT_FILES.items():
+        path = getattr(args, dest)
+        if path is not None:
+            Path(path).write_bytes(run_file(metrics, name).encode())
 
     impactful = metrics.impactful
     neutralized = [r for r in impactful if r.neutralized_at is not None]

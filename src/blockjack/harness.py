@@ -344,33 +344,21 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def metrics_rows(metrics: ScenarioMetrics) -> list[list[str]]:
-    cfg = metrics.config
-    rows = []
-    for record in metrics.records:
-        rows.append([
-            cfg.kind, str(cfg.routers), str(cfg.seed),
-            "0", str(record.prefix), str(record.adversary),   # trial: always 0
-            _fmt(record.prepend_time), _fmt(record.neutralize_time),
-            str(record.paths_filtered),
-            "true" if record.no_impact else "false",
-        ])
-    return rows
-
-
 def metrics_csv(metrics_list: list[ScenarioMetrics]) -> str:
+    """CSV with one row per attack of each run."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for metrics in metrics_list:
-        writer.writerows(metrics_rows(metrics))
+        cfg = metrics.config
+        writer.writerows(
+            [cfg.kind, str(cfg.routers), str(cfg.seed),
+             "0", str(record.prefix), str(record.adversary),   # trial: always 0
+             _fmt(record.prepend_time), _fmt(record.neutralize_time),
+             str(record.paths_filtered),
+             "true" if record.no_impact else "false"]
+            for record in metrics.records)
     return buffer.getvalue()
-
-
-def write_metrics(metrics_list: list[ScenarioMetrics], path) -> None:
-    """CSV with one row per attack of each run."""
-    with open(path, "w", newline="") as handle:
-        handle.write(metrics_csv(metrics_list))
 
 
 def summarize(metrics_list: list[ScenarioMetrics]) -> dict:
@@ -400,12 +388,22 @@ def summarize(metrics_list: list[ScenarioMetrics]) -> dict:
     }
 
 
-def write_json(doc, path) -> None:
-    """The JSON file form of every output document: sorted keys, indent 2."""
-    with open(path, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+def _json(doc) -> str:
+    """The JSON file form of an output document: sorted keys, indent 2."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def write_summary(metrics_list: list[ScenarioMetrics], path) -> None:
-    write_json(summarize(metrics_list), path)
+# The text of each file `blockjack run` writes for one run, by file name.
+_RENDERERS = {
+    "metrics.csv": lambda metrics: metrics_csv([metrics]),
+    "summary.json": lambda metrics: _json(summarize([metrics])),
+    "ledger.json": lambda metrics: metrics.ledger.to_json(),
+    "reports.jsonl": lambda metrics: "\n".join(metrics.reports) + "\n",
+    "topology.json": lambda metrics: _json(metrics.topology_doc),
+}
+RUN_FILES = tuple(_RENDERERS)
+
+
+def run_file(metrics: ScenarioMetrics, name: str) -> str:
+    """The text of the run file ``name`` (one of RUN_FILES) for one run."""
+    return _RENDERERS[name](metrics)

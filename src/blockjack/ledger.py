@@ -587,7 +587,8 @@ class ConsortiumLedger:
         replayed before it, that lacks ``endorsements_required`` distinct
         member endorsements or whose ``submitter`` is not router text of
         its ``submitter_asn``, and a member count or world state that
-        disagrees with the blocks.
+        disagrees with the blocks (a world-state field of another JSON
+        type, such as ``1`` for ``true``, included).
         """
         algorithm, member_count, version, world_state, raw_blocks = \
             _fields(doc, _DUMP_FIELDS, "the dump")
@@ -628,10 +629,14 @@ class ConsortiumLedger:
                                       f"{tx.submitter!r} is not a router of AS "
                                       f"{tx.submitter_asn}")
                 state.apply(tx)
-        # record by record, so no second copy of the world state is built
+        # record by record, so no second copy of the world state is built;
+        # == alone takes 1 and 1.0 for true and 10.0 for 10, so the JSON
+        # types of the ASN and the flag are checked too
         records = state.records
         if (state.version != version or len(world_state) != len(records)
-                or any(world_state.get(prefix) != record.to_dict()
+                or any((raw := world_state.get(prefix)) != record.to_dict()
+                       or type(raw["asn"]) is not int
+                       or raw["active"] is not record.active
                        for prefix, record in records.items())):
             raise LedgerError("dump's world state disagrees with its blocks")
         return ledger

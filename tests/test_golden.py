@@ -10,14 +10,16 @@ After a change that is meant to alter an output, rewrite the files with
 and say in CHANGES.md which output changed and why.
 """
 
-import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockjack.bgp import apply_event_script, load_topology, snapshot_json
 from blockjack.cli import SCENARIO_NAMES, main
-from blockjack.harness import ScenarioConfig, metrics_csv, run_scenario, summarize
+from blockjack.harness import RUN_FILES, ScenarioConfig, run_file, run_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -26,20 +28,10 @@ MATRIX = [(kind, routers, seed)
           for routers, seed in ((20, 1), (40, 2))]
 
 
-def _json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def scenario_outputs(**config) -> dict[str, str]:
     """The files ``blockjack run`` writes for one scenario, by name."""
     metrics = run_scenario(ScenarioConfig(**config))
-    return {
-        "metrics.csv": metrics_csv([metrics]),
-        "summary.json": _json(summarize([metrics])),
-        "ledger.json": _json(metrics.ledger_dump),
-        "reports.jsonl": "\n".join(metrics.reports) + "\n",
-        "topology.json": _json(metrics.topology_doc),
-    }
+    return {name: run_file(metrics, name) for name in RUN_FILES}
 
 
 def snapshots(sim, times) -> str:
@@ -136,6 +128,30 @@ def test_cli_writes_the_golden_files(kind, routers, seed, tmp_path):
     for filename in CLI_OPTIONS:
         assert (tmp_path / filename).read_bytes() == (case / filename).read_bytes(), \
             f"{case / filename} differs from the CLI's file"
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(scenario=st.sampled_from(sorted(SCENARIO_NAMES)), routers=st.integers(20, 40),
+       seed=st.integers(0, 2**16))
+def test_run_files_repeat_and_are_what_the_cli_writes(scenario, routers, seed):
+    """The determinism rule beyond the golden seeds: a repeated run renders
+    the same text for every run file, and `blockjack run` writes those bytes.
+
+    The exit code is not checked: a run whose attack outlives it exits 1
+    and still writes its files.
+    """
+    config = {"kind": SCENARIO_NAMES[scenario], "routers": routers, "seed": seed}
+    first, second = (run_scenario(ScenarioConfig(**config)) for _ in range(2))
+    texts = {name: run_file(first, name) for name in RUN_FILES}
+    assert texts == {name: run_file(second, name) for name in RUN_FILES}
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["run", "--scenario", scenario, "--routers", str(routers),
+                "--seed", str(seed), "--quiet"]
+        for name in RUN_FILES:
+            args += [CLI_OPTIONS[name], str(Path(tmp, name))]
+        main(args)
+        for name in RUN_FILES:
+            assert Path(tmp, name).read_bytes() == texts[name].encode(), name
 
 
 def test_delivery_on_tick_time_matches_golden():

@@ -16,11 +16,10 @@ from blockjack.harness import (
     ScenarioError,
     inject_attack,
     metrics_csv,
+    run_file,
     run_scenario,
     summarize,
     victim_prefix,
-    write_metrics,
-    write_summary,
 )
 from blockjack.ledger import ConsortiumLedger, CostModel
 from blockjack.topology import KINDS, ScenarioTopology, gen_topology, node_depth
@@ -285,25 +284,20 @@ def test_multi_path_filters_alternate_paths():
 # -- metrics emission -----------------------------------------------------------
 
 
-def test_empty_metrics_writes_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    write_metrics([], path)
-    assert path.read_text() == ("scenario,routers,seed,trial,prefix,adversary,"
-                                "prepend_s,neutralize_s,paths_filtered,no_impact\n")
+def test_empty_metrics_writes_header_only():
+    assert metrics_csv([]) == ("scenario,routers,seed,trial,prefix,adversary,"
+                               "prepend_s,neutralize_s,paths_filtered,no_impact\n")
 
 
-def test_metrics_csv_deterministic(tmp_path):
+def test_metrics_csv_deterministic():
     a = run("single_path", routers=20, seed=4)
     b = run("single_path", routers=20, seed=4)
-    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_metrics([a], pa)
-    write_metrics([b], pb)
-    assert pa.read_bytes() == pb.read_bytes()
+    assert run_file(a, "metrics.csv") == run_file(b, "metrics.csv")
     assert json.dumps(a.ledger_dump, sort_keys=True) == \
         json.dumps(b.ledger_dump, sort_keys=True)
 
 
-def test_summary_matches_independent_recomputation(tmp_path):
+def test_summary_matches_independent_recomputation():
     runs = [run("single_path", routers=n, seed=s)
             for n, s in [(20, 1), (20, 2), (30, 1), (40, 1), (40, 2)]]
     blob = metrics_csv(runs)
@@ -324,10 +318,7 @@ def test_summary_matches_independent_recomputation(tmp_path):
                         abs_tol=1e-9)
     assert summary["neutralize_s"]["count"] == len(neutralize)
     assert summary["impactful"] == len(prepend)
-
-    out = tmp_path / "summary.json"
-    write_summary(runs, out)
-    assert json.loads(out.read_text())["trials"] == 5
+    assert summary["trials"] == 5
 
 
 def test_reports_are_json_lines():

@@ -598,7 +598,7 @@ ws_edits = st.one_of(
 @settings(derandomize=True, deadline=None)
 @given(ws_edits)
 def test_load_refuses_an_edited_world_state_exactly_when_it_differs(edit):
-    """The record-by-record check agrees with comparing whole copies."""
+    """The record-by-record check agrees with comparing whole copies as JSON."""
     ledger, _, r10, r99 = make_ledger()
     ledger.submit_authorization("10.0.0.0/24", 10, r10)
     ledger.submit_authorization("10.1.0.0/24", 99, r99)
@@ -620,12 +620,25 @@ def test_load_refuses_an_edited_world_state_exactly_when_it_differs(edit):
             record[args[0]] = args[1]
         else:
             del record[args[0]]
-    if ledger.world_state.to_dict() != edited:
+    # as JSON text, where 1, 1.0 and true differ although == holds for them
+    if json.dumps(ledger.world_state.to_dict(), sort_keys=True) != \
+            json.dumps(edited, sort_keys=True):
         with pytest.raises(LedgerError, match="world state disagrees"):
             ConsortiumLedger.load(doc, cost_model=UNIT_COST)
     else:
         assert ConsortiumLedger.load(doc, cost_model=UNIT_COST).to_json() == \
             ledger.to_json()
+
+
+@pytest.mark.parametrize("field,value", [("active", 1), ("active", 1.0), ("asn", 10.0)])
+def test_load_refuses_a_world_state_field_of_the_wrong_json_type(field, value):
+    """== holds for 1 and 1.0 against true and for 10.0 against 10; JSON types differ."""
+    ledger, _, r10, _ = make_ledger()
+    ledger.submit_authorization("10.0.0.0/24", 10, r10)
+    doc = json.loads(ledger.to_json())
+    doc["world_state"]["10.0.0.0/24"][field] = value
+    with pytest.raises(LedgerError, match="world state disagrees"):
+        ConsortiumLedger.load(doc, cost_model=UNIT_COST)
 
 
 def test_load_refuses_rehashed_chain_that_does_not_replay():
