@@ -6,7 +6,8 @@ among events at the same time.  Route advertisements are batched: a
 router that changes its best path queues the re-advertisement for the
 next advertisement-interval boundary instead of flushing per message,
 so ledger-side work can race the routing plane the way it would
-against a real update interval.
+against a real update interval.  A router has at most one queued
+flush, queued when its pending set goes from empty to non-empty.
 
 The queue is bucketed by time: a heap holds each distinct event time
 once, and a dict maps each time to a list of its actions in the order
@@ -260,7 +261,6 @@ class Router:
         self.pending: set[Prefix] = set()
         # per-neighbor local_pref override applied on import
         self.local_pref_in: dict[RouterId, int] = {}
-        self._scheduled_boundary: Optional[float] = None
         # snapshot rows of rib and best, shared read-only with every
         # snapshot_table caller; a change to either drops the list, never edits it
         self._rows: Optional[list[dict]] = None
@@ -342,11 +342,18 @@ class Simulation:
         return router
 
     def add_link(self, a: RouterId, b: RouterId, delay: float = DEFAULT_LINK_DELAY):
+        """Link a and b both ways.  Refuses, changing nothing: a self link, a
+        delay not finite and >= 0, an unknown router, a second a-b link either way."""
         if a == b:
             raise SimulationError("self links are not allowed")
         if not 0 <= delay < math.inf:
             raise SimulationError(f"link delay must be finite and >= 0, got {delay}")
-        ra, rb = self._router(a), self._router(b)
+        try:
+            ra, rb = self.routers[a], self.routers[b]
+        except KeyError as exc:
+            raise SimulationError(f"unknown router {exc.args[0]}") from None
+        if b in ra.neighbors:
+            raise SimulationError(f"duplicate link between {a} and {b}")
         ra.neighbors[b] = delay
         rb.neighbors[a] = delay
 
@@ -549,8 +556,8 @@ class Simulation:
         which skips invalid routes itself, so a selection copies no route
         list and ranks every route the prefix holds.  Every change to a router's ``rib`` or ``best``
         ends here, so this is where its cached snapshot rows are dropped.
-        On a change of best, queues the re-advertisement, tells the
-        ``on_best_change`` listeners and returns (old, new); else None.
+        On a change of best, adds the prefix to ``pending``, queueing a flush if
+        it was empty, tells ``on_best_change`` and returns (old, new); else None.
         """
         router._rows = None
         old = router.best.get(prefix)
@@ -567,21 +574,15 @@ class Simulation:
             router.best[prefix] = new
         if new == old:
             return None
+        if not router.pending:
+            self.schedule(self.clock.next_boundary(self.clock.now),
+                          partial(self._flush, router))
         router.pending.add(prefix)
-        self._schedule_flush(router)
         for callback in self.on_best_change:
             callback(router.rid, prefix, old, new)
         return (old, new)
 
-    def _schedule_flush(self, router: Router):
-        boundary = self.clock.next_boundary(self.clock.now)
-        if router._scheduled_boundary is not None and router._scheduled_boundary >= boundary:
-            return
-        router._scheduled_boundary = boundary
-        self.schedule(boundary, partial(self._flush, router))
-
     def _flush(self, router: Router):
-        router._scheduled_boundary = None
         if not router.pending:
             return   # nothing to send; an empty batch would count -1 extra events
         pending, router.pending = sorted(router.pending), set()
@@ -711,8 +712,6 @@ def load_topology(doc: dict, mari: float = DEFAULT_MARI) -> Simulation:
     try:
         for i, link in enumerate(links):
             a, b = resolve(link["a"]), resolve(link["b"])
-            if b in sim.routers[a].neighbors:
-                raise SimulationError(f"duplicate link between {a} and {b}")
             sim.add_link(a, b, number(link.get("delay_s", DEFAULT_LINK_DELAY), "delay_s"))
     except _ENTRY_ERRORS as exc:
         _raise_named(f"links[{i}]", exc)

@@ -62,16 +62,15 @@ class DispatcherReport:
 def scan(snapshot: list[dict], own_asn: int) -> tuple[set[OriginEntry], set[OriginEntry]]:
     """Partition valid+best snapshot rows into own-AS and external triples.
 
-    Non-best rows contribute nothing; the origin is the AS-path tail
-    (or the scanning AS itself for a locally originated row).
+    Non-best rows contribute nothing; the origin is the AS-path tail,
+    which for a locally originated row is the scanning AS itself.
     """
     roa_var: set[OriginEntry] = set()
     rov_var: set[OriginEntry] = set()
     for row in snapshot:
         if not (row["is_valid"] and row["is_best"]):
             continue
-        path = row["as_path"]
-        origin = path[-1] if path else own_asn
+        origin = row["as_path"][-1]
         entry = OriginEntry(row["prefix"], origin, row["next_hop"])
         (roa_var if origin == own_asn else rov_var).add(entry)
     return roa_var, rov_var

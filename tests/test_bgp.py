@@ -685,7 +685,6 @@ class PerDeliverySimulation(LoggedSimulation):
     prefix in turn, and per prefix each neighbor in router id order."""
 
     def _flush(self, router):
-        router._scheduled_boundary = None
         pending, router.pending = sorted(router.pending), set()
         now = self.clock.now
         for prefix in pending:
@@ -774,8 +773,8 @@ def flooded_networks(draw):
     drained, an originate/withdraw script, an interval, and run cut times.
 
     With an interval of 0.1, a change at 0.3 flushes at the boundary
-    0.1 * 3, just above 0.3, and a change at that boundary, before its
-    flush, queues a second flush for 0.4, which finds nothing pending."""
+    0.1 * 3, just above 0.3, whose own next boundary is 0.4; a change at
+    that boundary, before its flush, joins the flush already queued."""
     count = draw(st.integers(2, 6))
     asns = draw(st.lists(st.sampled_from([10, 20, 30, 40, 50, 60]),
                          min_size=count, max_size=count))
@@ -820,7 +819,21 @@ def test_batched_deliveries_match_one_action_per_delivery(network):
         assert sim.run_until(t) == reference.run_until(t)
         assert sim.log == reference.log
         assert sim.events_processed == reference.events_processed
+        check_one_flush_per_pending_set(sim)
     assert all(sim.routers[rid].best == reference.routers[rid].best for rid in rids)
+
+
+def test_a_change_at_its_flush_boundary_joins_that_flush():
+    """0.1 * 3 is just above 0.3, and its own next boundary is 0.4; a second
+    origination at 0.1 * 3 joins the flush queued there, and nothing is
+    queued for 0.4."""
+    sim = line(A, B, delay=0.5, mari=0.1)
+    sim.originate_prefix(A, P1, 0.3)
+    sim.originate_prefix(A, P2, 0.1 * 3)
+    assert sim.run_until(0.35) == 3   # two originations, then one flush of both
+    assert list(sim._buckets) == [0.1 * 3 + 0.5]
+    assert sim.run_until(5.0) == 5    # two deliveries, B's flush and its two back
+    assert sim._buckets == {}
 
 
 def test_propagation_one_interval_per_hop():
@@ -834,6 +847,24 @@ def test_propagation_one_interval_per_hop():
     assert best_row(sim, C, P1)["as_path"] == (20, 10)
     sim.run_until(90.1)
     assert best_row(sim, d, P1)["as_path"] == (30, 20, 10)
+
+
+@pytest.mark.parametrize("a,b,delay,message", [
+    (B, A, 5.0, "duplicate link between 20.0 and 10.0"),
+    (A, B, 5.0, "duplicate link between 10.0 and 20.0"),
+    (A, A, 5.0, "self links are not allowed"),
+    (A, C, -1.0, "link delay must be finite and >= 0, got -1.0"),
+    (A, C, math.nan, "link delay must be finite and >= 0, got nan"),
+    (A, C, 5.0, "unknown router 30.0"),
+    (C, A, 5.0, "unknown router 30.0"),
+], ids=["duplicate-reversed", "duplicate", "self", "negative-delay", "nan-delay",
+        "unknown-b", "unknown-a"])
+def test_add_link_refuses_a_bad_link_and_keeps_both_delays(a, b, delay, message):
+    sim = line(A, B)
+    with pytest.raises(SimulationError) as excinfo:
+        sim.add_link(a, b, delay)
+    assert str(excinfo.value) == message
+    assert sim.routers[A].neighbors == {B: 0.1} and sim.routers[B].neighbors == {A: 0.1}
 
 
 # -- origination / withdrawal -------------------------------------------
@@ -1365,6 +1396,25 @@ def test_tables_keep_their_shape_through_every_change(network, steps):
     for step in steps:
         apply_step(sim, rids, *step)
         check_table_shape(sim)
+
+
+def check_one_flush_per_pending_set(sim):
+    """Each router has one ``_flush`` queued while its pending set is
+    non-empty, and none while it is empty."""
+    queued = [action.args[0].rid for bucket in sim._buckets.values() for action in bucket
+              if isinstance(action, partial) and action.func == sim._flush]
+    for rid, router in sim.routers.items():
+        assert queued.count(rid) == (1 if router.pending else 0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(network=shaped_networks(), steps=shape_steps)
+def test_a_flush_is_queued_exactly_while_the_pending_set_is_non_empty(network, steps):
+    sim, rids = network
+    check_one_flush_per_pending_set(sim)
+    for step in steps:
+        apply_step(sim, rids, *step)
+        check_one_flush_per_pending_set(sim)
 
 
 def test_a_snapshot_is_shared_until_the_next_table_change():
