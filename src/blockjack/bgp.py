@@ -210,10 +210,14 @@ class SimClock:
         """First advertisement boundary at or after t.
 
         Boundaries sit at positive multiples of the interval, so work
-        queued at t=0 flushes at the end of the first interval.
+        queued at t=0 flushes at the end of the first interval.  ``t / m``
+        can round down to a whole number k with ``m * k < t``, so such a
+        k moves on to the next boundary.
         """
-        k = math.ceil(t / self.mari_interval)
-        return self.mari_interval * max(1, k)
+        m = self.mari_interval
+        k = max(1, math.ceil(t / m))
+        boundary = m * k
+        return boundary if boundary >= t else m * (k + 1)
 
 
 def select_best(candidates: Collection[Route]) -> Optional[Route]:

@@ -151,7 +151,8 @@ class ScenarioMetrics:
 
     @functools.cached_property
     def ledger_dump(self) -> dict:
-        """The run's ``ledger.dump()``, built on the first read and kept."""
+        """The run's ledger dump document, the parsed ``ledger.to_json()``,
+        built on the first read and kept."""
         return self.ledger.dump()
 
     @property

@@ -94,16 +94,6 @@ class Transaction:
     endorsements: tuple[str, ...]
     submitted_at: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "record": self.record.to_dict(),
-            "submitter": self.submitter,
-            "submitter_asn": self.submitter_asn,
-            "endorsements": list(self.endorsements),
-            "submitted_at": self.submitted_at,
-        }
-
 
 @dataclass(slots=True)
 class Block:
@@ -112,19 +102,9 @@ class Block:
     transactions: list[Transaction]
     hash: str = ""
 
-    def body(self) -> dict:
-        return {
-            "index": self.index,
-            "prev_hash": self.prev_hash,
-            "transactions": [tx.to_dict() for tx in self.transactions],
-        }
-
     def compute_hash(self) -> str:
-        """The sha256 hex digest of ``canonical_bytes(self.body())``.
-
-        The bytes are rendered straight from the block's fields (see
-        :func:`_canonical_block`), not encoded from ``body()`` dicts.
-        """
+        """The sha256 hex digest of the block's ``canonical_bytes``, rendered
+        straight from its fields (see :func:`_canonical_block`)."""
         return hashlib.sha256(_canonical_block(self)).hexdigest()
 
     def seal(self) -> "Block":
@@ -138,7 +118,11 @@ _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_bytes(obj) -> bytes:
-    """Field-ordered, length-prefixed serialization used for hashing."""
+    """Field-ordered, length-prefixed serialization used for hashing.
+
+    A block hashes this of ``{index, prev_hash, transactions}``, each
+    transaction an object with its record and its list of endorsements.
+    """
     payload = _CANONICAL_ENCODER.encode(obj).encode("utf-8")
     return len(payload).to_bytes(8, "big") + payload
 
@@ -154,7 +138,8 @@ def _json_value(value) -> str:
     anything else go through the canonical encoder, so a block's hash
     text is exact for any value.  A container field, which ``load``
     never accepts, is thus rendered compact and key-sorted, in the dump
-    as in the hash.
+    as in the hash, and a tuple as a list: the dump's parse, ``dump()``,
+    holds lists.
     """
     kind = type(value)
     if kind is str:
@@ -244,7 +229,8 @@ def _block_text(block: Block, layout: _Layout, head: str = "") -> str:
 
 
 def _canonical_block(block: Block) -> bytes:
-    """``canonical_bytes(block.body())``, rendered from the block's fields."""
+    """``canonical_bytes`` of the block's ``{index, prev_hash, transactions}``
+    document, rendered from the block's fields."""
     payload = _block_text(block, _HASHED).encode("utf-8")
     return len(payload).to_bytes(8, "big") + payload
 
@@ -278,10 +264,6 @@ class WorldState:
         else:
             raise LedgerError(f"cannot apply {tx.kind!r} to {prefix!r}")
         self.version += 1
-
-    def to_dict(self) -> dict:
-        return {prefix: self.records[prefix].to_dict()
-                for prefix in sorted(self.records)}
 
 
 def chaincode_evaluate(tx: Transaction, state: WorldState) -> Optional[str]:
@@ -427,6 +409,13 @@ class ConsortiumLedger:
         return cred
 
     def enroll_admin(self, name: str) -> Credential:
+        """An admin credential for ``name``, which must be text and not
+        router text: an admin named ``64512.0`` would hold that router's
+        subject, so the router could never register."""
+        if type(name) is not str:
+            raise TypeError(f"admin name must be text, got {name!r}")
+        if _router_asn(name) is not None:
+            raise ValueError(f"admin name is router text: {name!r}")
         return self._mint(name, None)
 
     def register_router(self, router_id: RouterId, admin: Credential) -> Credential:
@@ -530,21 +519,17 @@ class ConsortiumLedger:
     # -- export/import -------------------------------------------------------
 
     def dump(self) -> dict:
-        return {
-            "hash_algorithm": HASH_ALGORITHM,
-            "member_count": self.cost_model.member_count,
-            "version": self.world_state.version,
-            "world_state": self.world_state.to_dict(),
-            "blocks": [dict(b.body(), hash=b.hash) for b in self.blocks],
-        }
+        """The dump file's document: ``to_json()`` parsed, which ``load`` takes."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """The dump as the JSON text that ``--dump-ledger`` writes.
+        """The dump as the JSON text that ``--dump-ledger`` writes: the
+        ledger's one record format, of which ``dump()`` is the parse.
 
-        The bytes are those of ``json.dumps(self.dump(), sort_keys=True,
-        indent=2) + "\n"``, but rendered straight from the blocks and the
-        world state, keys in sorted order: CPython's encoder runs in pure
-        Python when it indents, and makes a string per token of the dump.
+        Keys are sorted and indented as by ``json.dumps(..., sort_keys=True,
+        indent=2)``, but the text is rendered straight from the blocks, by
+        their hash renderer, and the world state: CPython's encoder runs in
+        pure Python when it indents, and makes a string per token.
 
         The text grows in one local string, one block or record at a
         time.  CPython appends to a string that only a local names in

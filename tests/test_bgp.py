@@ -384,6 +384,30 @@ def test_boundaries_are_positive_multiples():
     assert clock.next_boundary(30.0) == 30.0
     assert clock.next_boundary(30.1) == 60.0
     assert clock.next_boundary(89.9) == 90.0
+    # 60.50000000000001 / 0.1 rounds to exactly 605, and 0.1 * 605 is 60.5
+    clock = SimClock(mari_interval=0.1)
+    assert clock.next_boundary(60.50000000000001) >= 60.50000000000001
+    assert clock.next_boundary(0.30000000000000004) == 0.4
+
+
+@st.composite
+def boundary_times(draw):
+    """An interval and a time, often one float either side of a boundary."""
+    mari = draw(st.floats(1e-3, 1e3))
+    near = mari * draw(st.integers(0, 10**6))
+    t = draw(st.one_of(st.floats(0, 1e9),
+                       st.sampled_from([near, math.nextafter(near, math.inf),
+                                        math.nextafter(near, 0.0)])))
+    return mari, t
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(boundary_times())
+def test_next_boundary_is_at_or_after_t_and_at_most_one_interval_on(case):
+    mari, t = case
+    boundary = SimClock(mari_interval=mari).next_boundary(t)
+    assert boundary >= t
+    assert boundary - t <= mari * (1 + 1e-9)
 
 
 def test_two_node_delivery_at_boundary_plus_delay():

@@ -205,6 +205,17 @@ def test_ledger_dump_is_built_once_on_first_read(monkeypatch):
     assert json.dumps(first, sort_keys=True, indent=2) + "\n" == metrics.ledger.to_json()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mari", [0.1, 0.3, 0.7])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_short_advertisement_interval_runs_to_the_end(kind, mari, seed):
+    """A best change a float past a boundary must flush at the next one, not
+    schedule before now (single_path at mari 0.1 used to raise)."""
+    metrics = run(kind, routers=30, seed=seed, adversarial_prefixes=3, duration=120.0,
+                  mari=mari)
+    assert metrics.ledger.verify_chain() is None
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_topology_doc_is_the_generated_topologys_document(kind):
     cfg = ScenarioConfig(kind=kind, routers=30, seed=3, connectivity=0.3,

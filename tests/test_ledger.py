@@ -61,6 +61,27 @@ def test_enroll_admin_once():
         ledger.enroll_admin("admin-as10")
 
 
+@pytest.mark.parametrize("name", ["admin", "a", "admin-as10", "admin-as99", "64512.x",
+                                  " 64512.0"])
+def test_enroll_admin_takes_text_that_names_no_router(name):
+    admin = ConsortiumLedger(cost_model=UNIT_COST).enroll_admin(name)
+    assert (admin.subject, admin.asn) == (name, None)
+
+
+@pytest.mark.parametrize("name,error", [
+    (5, TypeError), (None, TypeError), (True, TypeError), (b"admin", TypeError),
+    ("64512.0", ValueError), ("64512", ValueError), ("064512.0", ValueError),
+])
+def test_enroll_admin_refuses_a_name_that_is_not_text_or_is_router_text(name, error):
+    """An admin holding router text as its subject would block that router's
+    registration for good."""
+    ledger = ConsortiumLedger(cost_model=UNIT_COST)
+    with pytest.raises(error):
+        ledger.enroll_admin(name)
+    admin = ledger.enroll_admin("admin")
+    assert ledger.register_router(RouterId(64512), admin).asn == 64512
+
+
 def test_register_router_requires_admin():
     ledger, admin, r10, _ = make_ledger()
     with pytest.raises(CredentialError):
@@ -89,8 +110,7 @@ def test_credential_presented_under_another_asn_is_refused(write):
             ledger.submit_authorization("10.8.0.0/16", 99, spoofed)
         else:
             ledger.submit_status_update("10.9.0.0/16", 99, False, spoofed)
-    assert ledger.world_state.to_dict() == {
-        "10.9.0.0/16": LedgerRecord("10.9.0.0/16", 99).to_dict()}
+    assert ledger.world_state.records == {"10.9.0.0/16": LedgerRecord("10.9.0.0/16", 99)}
     assert ledger.chain_length == 2
 
 
@@ -429,10 +449,22 @@ def test_any_single_byte_flip_changes_digest():
     rng = random.Random(3)
     for _ in range(200):
         block = ledger.blocks[rng.randint(1, 10)]
-        payload = canonical_bytes(block.body())
+        payload = canonical_bytes(body(block))
         pos = rng.randrange(len(payload))
         corrupted = payload[:pos] + bytes([payload[pos] ^ 0x01]) + payload[pos + 1:]
         assert hashlib.sha256(corrupted).hexdigest() != block.hash
+
+
+def body(block):
+    """The hashed document of a block, built from its fields, as the reference
+    for the renderer that writes its text."""
+    return {"index": block.index, "prev_hash": block.prev_hash,
+            "transactions": [{"kind": tx.kind, "record": tx.record.to_dict(),
+                              "submitter": tx.submitter,
+                              "submitter_asn": tx.submitter_asn,
+                              "endorsements": list(tx.endorsements),
+                              "submitted_at": tx.submitted_at}
+                             for tx in block.transactions]}
 
 
 # Values of every type ``load`` accepts for each field: text with escapes
@@ -455,15 +487,29 @@ hash_transaction = st.builds(
 def test_block_bytes_rendered_from_fields_equal_the_encoded_body(index, prev_hash,
                                                                    transactions):
     block = Block(index, prev_hash, transactions)
-    assert _canonical_block(block) == canonical_bytes(block.body())
-    assert block.compute_hash() == hashlib.sha256(canonical_bytes(block.body())).hexdigest()
+    assert _canonical_block(block) == canonical_bytes(body(block))
+    assert block.compute_hash() == hashlib.sha256(canonical_bytes(body(block))).hexdigest()
+
+
+def hand_built_odd_block():
+    """A block whose fields hold containers and a tuple, which ``load`` never takes."""
+    odd = Transaction("register", LedgerRecord("10.0.0.0/24", [10, 2.5]), "admin",
+                      {"b": [None, -0.0], "a": "\u00e9"}, ["member-1", ("x", 1)], 3)
+    return Block(1, GENESIS_PREV_HASH, [odd])
 
 
 def test_block_bytes_of_a_hand_built_non_scalar_field_equal_the_encoded_body():
-    odd = Transaction("register", LedgerRecord("10.0.0.0/24", [10, 2.5]), "admin",
-                      {"b": [None, -0.0], "a": "\u00e9"}, ["member-1", ("x", 1)], 3)
-    block = Block(1, GENESIS_PREV_HASH, [odd])
-    assert _canonical_block(block) == canonical_bytes(block.body())
+    block = hand_built_odd_block()
+    assert _canonical_block(block) == canonical_bytes(body(block))
+
+
+def test_dump_is_the_parse_of_the_text_even_for_a_hand_built_odd_block():
+    """One format: dump() holds what the dump file says, a list for a tuple."""
+    ledger = ConsortiumLedger(cost_model=UNIT_COST)
+    ledger.blocks.append(hand_built_odd_block().seal())
+    doc = ledger.dump()
+    assert doc == json.loads(ledger.to_json())
+    assert doc["blocks"][1]["transactions"][0]["endorsements"] == ["member-1", ["x", 1]]
 
 
 # -- export/import ------------------------------------------------------------
@@ -621,7 +667,7 @@ def test_load_refuses_an_edited_world_state_exactly_when_it_differs(edit):
         else:
             del record[args[0]]
     # as JSON text, where 1, 1.0 and true differ although == holds for them
-    if json.dumps(ledger.world_state.to_dict(), sort_keys=True) != \
+    if json.dumps(reference_doc(ledger)["world_state"], sort_keys=True) != \
             json.dumps(edited, sort_keys=True):
         with pytest.raises(LedgerError, match="world state disagrees"):
             ConsortiumLedger.load(doc, cost_model=UNIT_COST)
@@ -884,9 +930,18 @@ def test_load_refuses_a_submission_time_that_writes_refuse(submitted_at):
 # -- invariants under any write sequence ------------------------------------------
 
 
+def reference_doc(ledger):
+    """The dump's document, built from the ledger's fields, not from its text."""
+    records = ledger.world_state.records
+    return {"hash_algorithm": "sha256", "member_count": ledger.cost_model.member_count,
+            "version": ledger.world_state.version,
+            "world_state": {prefix: records[prefix].to_dict() for prefix in sorted(records)},
+            "blocks": [dict(body(block), hash=block.hash) for block in ledger.blocks]}
+
+
 def reference_json(ledger):
     """The dump as the indent encoder renders it; to_json must match it byte for byte."""
-    return json.dumps(ledger.dump(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(reference_doc(ledger), sort_keys=True, indent=2) + "\n"
 
 
 def check_ledger_invariants(ledger, model):

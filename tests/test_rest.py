@@ -104,6 +104,22 @@ def test_http_error_shape(server):
     assert status == 404 and body["error"]["class"] == "UnknownPath"
 
 
+@pytest.mark.parametrize("name,error", [(5, "TypeError"), (None, "TypeError"),
+                                        (True, "TypeError"), ("64512.0", "ValueError"),
+                                        ("64512", "ValueError")])
+def test_http_enroll_refuses_an_admin_name_that_is_not_text_or_names_a_router(
+        server, name, error):
+    """An admin enrolled as 64512.0 would block router 64512.0's profile for good."""
+    status, body = call(server, "POST", "/admin/enroll", {"name": name})
+    assert status == 400 and body["error"]["class"] == error
+    assert server.admin is None
+    status, _ = call(server, "POST", "/admin/enroll", {"name": "admin"})
+    assert status == 200
+    status, body = call(server, "POST", "/router/profile",
+                        {"router_id": "64512.0", "asn": 64512})
+    assert status == 200 and body["asn"] == 64512
+
+
 def test_http_profile_requires_admin_first():
     gateway = GatewayHTTPServer(Profiler(ConsortiumLedger(
         cost_model=CostModel(0.1, 1.0, 0.5, 2))))
